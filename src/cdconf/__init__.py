@@ -37,16 +37,15 @@ from .algebra import (
     re,
 )
 from .calculus import (
-    DzDecomposition,
     OctGivensFactorization,
     QuatFactorization,
     RealJacobian,
     Verdict,
+    dzbar_norm,
     factor_octonion_givens,
     factor_quaternion,
     is_pseudoconformal_at,
     jacobian,
-    split_dz,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .errors import (
 
 __all__ = [
     "RealJacobian",
-    "DzDecomposition",
     "QuatFactorization",
     "OctGivensFactorization",
     "Verdict",
@@ -35,7 +34,7 @@ __all__ = [
     "jacobian",
     "left_mul_matrix",
     "right_mul_matrix",
-    "split_dz",
+    "dzbar_norm",
     "is_pseudoconformal_at",
     "factor_quaternion",
     "factor_octonion_givens",
@@ -69,28 +68,6 @@ class RealJacobian:
 
     def apply(self, h: CdNumber) -> CdNumber:
         return CdNumber(self.entries @ h.coeffs)
-
-
-@dataclass(frozen=True)
-class DzDecomposition:
-    """Split of a real-linear operator into dz and dz-bar parts.
-
-    dz_part + dzbar_part o C equals the full operator (C = coefficient
-    conjugation).  Holomorphic maps have vanishing dzbar_part; conjugation
-    itself has vanishing dz_part.
-
-    Sandwich operators h -> a h b span the whole operator space once the
-    algebra is noncommutative (conj(h) itself is such a sum), so no linear
-    projection can separate the two parts.  What does distinguish a
-    derivative with a z-only shortest representation from one whose
-    shortest representation needs the conjugated variable is orientation:
-    z-only derivatives compose proper rotations, conjugated ones improper.
-    The split therefore assigns the whole operator to the dz side exactly
-    when its determinant is nonnegative.
-    """
-
-    dz_part: RealJacobian
-    dzbar_part: RealJacobian
 
 
 def _conj_matrix(dim: int) -> np.ndarray:
@@ -137,20 +114,6 @@ def jacobian(f, z: CdNumber, step: float = DEFAULT_STEP) -> RealJacobian:
     return RealJacobian(z.level, cols, step=step, method="central-2")
 
 
-def split_dz(j: RealJacobian) -> DzDecomposition:
-    """Orientation splitting J = dz_part + dzbar_part o C, C = diag(1,-1,...,-1)."""
-    dim = j.dim
-    zero = np.zeros((dim, dim))
-    if np.linalg.det(j.entries) >= 0.0:
-        sym, anti = j.entries, zero
-    else:
-        sym, anti = zero, j.entries @ _conj_matrix(dim)
-    return DzDecomposition(
-        RealJacobian(j.level, sym, j.step, j.method),
-        RealJacobian(j.level, anti, j.step, j.method),
-    )
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the pointwise pseudoconformality test."""
@@ -176,6 +139,23 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def dzbar_norm(j: RealJacobian) -> float:
+    """Spectral norm of the conjugated (dz-bar) part of J.
+
+    Sandwich operators h -> a h b span the whole operator space once the
+    algebra is noncommutative (conj(h) itself is such a sum), so no linear
+    projection separates a dz part from a dz-bar part.  What distinguishes
+    a derivative with a z-only shortest representation from one that needs
+    the conjugated variable is orientation: z-only derivatives compose
+    proper rotations, conjugated ones improper.  So the dz-bar part is zero
+    when det J >= 0 and otherwise the whole operator, J o C with
+    C = diag(1, -1, ..., -1).
+    """
+    if np.linalg.det(j.entries) >= 0.0:
+        return 0.0
+    return _spectral_norm(j.entries @ _conj_matrix(j.dim))
+
+
 def is_pseudoconformal_at(f, z: CdNumber, tol: float = 1e-6,
                           step: float = DEFAULT_STEP) -> Verdict:
     """Test whether the derivative of f at z is a positive similarity.
@@ -198,7 +178,7 @@ def is_pseudoconformal_at(f, z: CdNumber, tol: float = 1e-6,
     sim_res = _spectral_norm(g - lam2 * np.eye(jac.dim)) / lam2
     if sim_res >= tol:
         return Verdict("NotSimilarity", residual=sim_res)
-    anti = _spectral_norm(split_dz(jac).dzbar_part.entries)
+    anti = dzbar_norm(jac)
     if anti >= tol:
         return Verdict("AntiholomorphicPart", residual=anti)
     return Verdict("Pseudoconformal", lam=math.sqrt(lam2), residual=sim_res)

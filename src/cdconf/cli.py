@@ -1,9 +1,14 @@
 """JSON command surface: `cdconf <command> [--json FILE|-] [--seed N] [--tol X]`.
 
 Commands map onto the library modules one to one; stdout carries exactly
-one JSON document, human-readable logging goes to stderr.  Exit codes:
-0 success, 1 domain/precondition failure (structured error object on
-stdout), 2 malformed request (JSON diagnostic on stdout).
+one strict JSON document, human-readable logging goes to stderr.  Exit
+codes: 0 success; 1 domain/precondition failure or a non-finite result
+(structured error object on stdout); 2 malformed request (schema error
+object on stdout): a payload that is not JSON, a number anywhere in the
+request that is not finite as a double, a boolean in any field but
+`strict`, a missing or mistyped field, or an out-of-range argument
+(`--tol` must be finite and positive, `--seed` nonnegative, counts >= 1).
+`run` alone decides whether a request is malformed.
 
 All randomized behavior (sampled verifier inputs, suites) derives from
 the --seed argument through numpy's PCG64 generator, so identical
@@ -22,11 +27,11 @@ from . import algebra, phrase as ph
 from .algebra import CdNumber, cd
 from .calculus import (
     RealJacobian,
+    dzbar_norm,
     factor_octonion_givens,
     factor_quaternion,
     is_pseudoconformal_at,
     jacobian,
-    split_dz,
 )
 from .contour import (
     PlanarLoop,
@@ -69,25 +74,33 @@ from .suites import list_suites, run_suite
 
 __all__ = ["run", "main"]
 
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
 
-def _need(payload, key, kind=None):
+
+def _need(payload, key, kind=None, default=_REQUIRED):
+    """payload[key] of the given type; default when absent, if one is given."""
     if key not in payload:
-        raise SchemaError(f"missing field {key!r}")
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field {key!r}")
+        return default
     val = payload[key]
     if kind is not None and not isinstance(val, kind):
         raise SchemaError(f"field {key!r} has wrong type {type(val).__name__}")
     return val
 
 
-def _num(payload, key, default=None):
-    if key not in payload:
-        if default is None:
-            raise SchemaError(f"missing numeric field {key!r}")
-        return default
-    val = payload[key]
-    if not isinstance(val, (int, float)):
-        raise SchemaError(f"field {key!r} must be a number")
-    return float(val)
+def _num(payload, key, default=_REQUIRED) -> float:
+    return float(_need(payload, key, (int, float), default))
+
+
+def _int(payload, key, default=_REQUIRED, low=None) -> int:
+    """An integer field (never a bool), at least `low` when that is given."""
+    val = _need(payload, key, default=default)
+    if key in payload and (type(val) is not int or low is not None and val < low):
+        raise SchemaError(f"field {key!r} must be an integer"
+                          + ("" if low is None else f" >= {low}"))
+    return val
 
 
 def _cd(payload, key) -> CdNumber:
@@ -98,10 +111,19 @@ def _cd(payload, key) -> CdNumber:
         raise SchemaError(f"field {key!r}: {exc}") from exc
 
 
+def _coords(payload, key) -> tuple:
+    """One point, or a list of points, as a tuple of coordinates."""
+    raw = _need(payload, key, list)
+    rows = raw if raw and isinstance(raw[0], list) else [raw]
+    return tuple(cd(row) for row in rows)
+
+
+def _word(payload, key="word") -> MoebiusWord:
+    return MoebiusWord.from_json(_need(payload, key, list), _int(payload, "level", None))
+
+
 def _point_or_inf(value):
-    if value is INF:
-        return "inf"
-    return value.to_json()
+    return "inf" if value is INF else value.to_json()
 
 
 def _map_spec(payload, key="map"):
@@ -109,11 +131,9 @@ def _map_spec(payload, key="map"):
     spec = _need(payload, key, dict)
     kind = _need(spec, "kind", str)
     if kind == "moebius":
-        word = MoebiusWord.from_json(_need(spec, "word", list), spec.get("level"))
-        return lambda z: apply_word(word, z)
+        return _word(spec)
     if kind == "phrase":
-        expr = ph.parse(_need(spec, "text", str))
-        return lambda z: ph.eval_phrase(expr, z)
+        return ph.parse(_need(spec, "text", str)).eval
     raise SchemaError(f"unknown map kind {kind!r}")
 
 
@@ -134,16 +154,14 @@ def _cmd_eval(payload, rng, tol):
     if op == "inv":
         return {"result": algebra.inv(_cd(payload, "x")).to_json()}
     if op == "proj":
-        j = _need(payload, "j", int)
-        return {"result": algebra.proj(j, _cd(payload, "x"))}
+        return {"result": algebra.proj(_int(payload, "j"), _cd(payload, "x"))}
     if op == "exp":
         return {"result": algebra.exp(_cd(payload, "x")).to_json()}
     if op == "ln":
-        branch = int(payload.get("branch", 0))
+        branch = _int(payload, "branch", 0)
         return {"result": algebra.ln_branch(_cd(payload, "x"), branch).to_json()}
     if op == "pow":
-        alpha = _num(payload, "alpha")
-        branch = int(payload.get("branch", 0))
+        alpha, branch = _num(payload, "alpha"), _int(payload, "branch", 0)
         return {"result": algebra.pow_real(_cd(payload, "x"), alpha, branch).to_json()}
     if op == "polar":
         p = algebra.polar(_cd(payload, "x"))
@@ -154,25 +172,19 @@ def _cmd_eval(payload, rng, tol):
 def _cmd_check_pc(payload, rng, tol):
     f = _map_spec(payload)
     z = _cd(payload, "z")
-    step = _num(payload, "step", 1e-5)
-    jac = jacobian(f, z, step)
-    verdict = is_pseudoconformal_at(jac, z, tol or 1e-6)
-    dec = split_dz(jac)
-    out = verdict.to_json()
-    out["dzbar_norm"] = float(np.linalg.norm(dec.dzbar_part.entries, 2))
+    jac = jacobian(f, z, _num(payload, "step", 1e-5))
+    out = is_pseudoconformal_at(jac, z, tol or 1e-6).to_json()
+    out["dzbar_norm"] = dzbar_norm(jac)
     return out
 
 
 def _cmd_factor(payload, rng, tol):
     if "matrix" in payload:
-        level = _need(payload, "level", int)
-        jac = RealJacobian(level, np.asarray(_need(payload, "matrix", list), float))
+        matrix = np.asarray(_need(payload, "matrix", list), float)
+        jac = RealJacobian(_int(payload, "level"), matrix)
     else:
-        f = _map_spec(payload)
-        z = _cd(payload, "z")
-        jac = jacobian(f, z, _num(payload, "step", 1e-5))
-        level = jac.level
-    if level == 2:
+        jac = jacobian(_map_spec(payload), _cd(payload, "z"), _num(payload, "step", 1e-5))
+    if jac.level == 2:
         fac = factor_quaternion(jac, tol or 1e-6)
         return {"lambda": fac.lam, "a": fac.a.to_json(), "b": fac.b.to_json()}
     fac = factor_octonion_givens(jac, tol or 1e-6)
@@ -181,8 +193,7 @@ def _cmd_factor(payload, rng, tol):
 
 def _cmd_phrase(payload, rng, tol):
     op = _need(payload, "op", str)
-    text = _need(payload, "text", str)
-    expr = ph.parse(text, strict=bool(payload.get("strict", False)))
+    expr = ph.parse(_need(payload, "text", str), strict=_need(payload, "strict", bool, False))
     if op == "parse":
         return {"canonical": expr.render(), "words": len(expr.words),
                 "max_degree": expr.max_degree()}
@@ -193,16 +204,15 @@ def _cmd_phrase(payload, rng, tol):
         params = ph.PhraseMetricParams(_num(payload, "b", 0.5))
         return {"distance": ph.phrase_distance(expr, other, params)}
     if op == "eval":
-        z = _cd(payload, "z")
-        h = cd(payload["h"]) if "h" in payload else None
-        return {"result": ph.eval_phrase(expr, z, h).to_json()}
+        h = _cd(payload, "h") if "h" in payload else None
+        return {"result": ph.eval_phrase(expr, _cd(payload, "z"), h).to_json()}
+    var = _int(payload, "var", 1)
     if op == "derive":
-        return {"result": ph.derivative_at_one(expr, int(payload.get("var", 1))).render()}
+        return {"result": ph.derivative_at_one(expr, var).render()}
     if op == "antiderive":
-        side = payload.get("side", "left")
-        return {"result": ph.antiderive(expr, side, int(payload.get("var", 1))).render()}
+        return {"result": ph.antiderive(expr, _need(payload, "side", str, "left"), var).render()}
     if op == "hat":
-        return {"result": ph.hat_operator(expr, int(payload.get("var", 1))).render()}
+        return {"result": ph.hat_operator(expr, var).render()}
     raise SchemaError(f"unknown phrase op {op!r}")
 
 
@@ -213,40 +223,24 @@ def _sphere(payload, key="sphere") -> Hypersphere:
 def _cmd_moebius(payload, rng, tol):
     op = _need(payload, "op", str)
     if op in ("apply", "inverse-apply"):
-        word = MoebiusWord.from_json(_need(payload, "word", list), payload.get("level"))
+        word = _word(payload)
         if op == "inverse-apply":
             word = inverse(word)
-        zraw = _need(payload, "z")
-        z = INF if zraw == "inf" else cd(zraw)
+        z = INF if _need(payload, "z") == "inf" else _cd(payload, "z")
         return {"result": _point_or_inf(apply_word(word, z))}
     if op == "compose":
-        w1 = MoebiusWord.from_json(_need(payload, "word", list), payload.get("level"))
-        w2 = MoebiusWord.from_json(_need(payload, "word2", list), payload.get("level"))
-        return {"word": compose(w1, w2).to_json()}
+        return {"word": compose(_word(payload), _word(payload, "word2")).to_json()}
     if op == "inverse":
-        word = MoebiusWord.from_json(_need(payload, "word", list), payload.get("level"))
-        return {"word": inverse(word).to_json()}
+        return {"word": inverse(_word(payload)).to_json()}
     if op == "map-sphere":
-        word = MoebiusWord.from_json(_need(payload, "word", list), payload.get("level"))
-        return {"sphere": map_hypersphere(word, _sphere(payload)).to_json()}
+        return {"sphere": map_hypersphere(_word(payload), _sphere(payload)).to_json()}
     if op == "symmetric":
         return {"result": _point_or_inf(symmetric_point(_cd(payload, "z"), _sphere(payload)))}
     if op == "reflect":
         return {"result": reflect_conjugate(_cd(payload, "z")).to_json()}
     if op == "schwarz-extend":
-        word = MoebiusWord.from_json(_need(payload, "word", list), payload.get("level"))
-        f = lambda z: apply_word(word, z)
-        return {"result": schwarz_extend(f, _cd(payload, "z")).to_json()}
+        return {"result": schwarz_extend(_word(payload), _cd(payload, "z")).to_json()}
     raise SchemaError(f"unknown moebius op {op!r}")
-
-
-def _ball_from(payload) -> BallAutomorphism:
-    araw = _need(payload, "a", list)
-    coords = araw if araw and isinstance(araw[0], list) else [araw]
-    frame = None
-    if "frame" in payload:
-        frame = [(cd(l), cd(r)) for l, r in _need(payload, "frame", list)]
-    return BallAutomorphism(tuple(cd(c) for c in coords), frame)
 
 
 def _ball_samples(rng, level, count, scale=0.4):
@@ -258,24 +252,22 @@ def _ball_samples(rng, level, count, scale=0.4):
     return out
 
 
+def _ball_squared(spec):
+    """z -> S_a(S_a(z)) for the ball involution S_a, and the level of a."""
+    phi = BallAutomorphism(_cd(spec, "a"))
+    return (lambda z: phi(phi(z))), phi.a[0].level
+
+
 def _cmd_domain(payload, rng, tol):
     op = _need(payload, "op", str)
     if op == "ball":
-        phi = _ball_from(payload)
-        zraw = _need(payload, "z", list)
-        coords = zraw if zraw and isinstance(zraw[0], list) else [zraw]
-        out = ball_apply(phi, tuple(cd(c) for c in coords))
-        return {"result": [w.to_json() for w in out]}
+        frame = [(cd(l), cd(r)) for l, r in _need(payload, "frame", list, [])] or None
+        phi = BallAutomorphism(_coords(payload, "a"), frame)
+        return {"result": [w.to_json() for w in ball_apply(phi, _coords(payload, "z"))]}
     if op == "polydisc":
-        braw = _need(payload, "b", list)
-        bs = braw if braw and isinstance(braw[0], list) else [braw]
         mult = [tuple(cd(c) for c in row) for row in _need(payload, "multipliers", list)]
-        psi = PolydiscAutomorphism(tuple(cd(c) for c in bs), tuple(mult),
-                                   payload.get("sigma"))
-        zraw = _need(payload, "z", list)
-        coords = zraw if zraw and isinstance(zraw[0], list) else [zraw]
-        out = polydisc_apply(psi, tuple(cd(c) for c in coords))
-        return {"result": [w.to_json() for w in out]}
+        psi = PolydiscAutomorphism(_coords(payload, "b"), tuple(mult), payload.get("sigma"))
+        return {"result": [w.to_json() for w in polydisc_apply(psi, _coords(payload, "z"))]}
     if op == "cayley":
         return {"result": _point_or_inf(cayley_to_ball(_cd(payload, "z"), _cd(payload, "M")))}
     if op == "uncayley":
@@ -284,28 +276,24 @@ def _cmd_domain(payload, rng, tol):
         spec = _need(payload, "map", dict)
         kind = _need(spec, "kind", str)
         if kind == "frame":
-            u, v = cd(_need(spec, "u", list)), cd(_need(spec, "v", list))
+            u, v = _cd(spec, "u"), _cd(spec, "v")
             f = lambda z: algebra.mul(algebra.mul(u, z), v)
             level = u.level
         elif kind == "ball-squared":
-            phi = BallAutomorphism((cd(_need(spec, "a", list)),))
-            f = lambda z: ball_apply(phi, ball_apply(phi, z))
-            level = phi.a[0].level
+            f, level = _ball_squared(spec)
         else:
             raise SchemaError(f"unknown schwarz map kind {kind!r}")
-        samples = _ball_samples(rng, level, int(payload.get("samples", 100)))
-        res = schwarz_check(f, HomogeneousNorm(payload.get("norm_in", "euclidean")),
-                            HomogeneousNorm(payload.get("norm_out", "euclidean")),
+        samples = _ball_samples(rng, level, _int(payload, "samples", 100, low=1))
+        res = schwarz_check(f, HomogeneousNorm(_need(payload, "norm_in", str, "euclidean")),
+                            HomogeneousNorm(_need(payload, "norm_out", str, "euclidean")),
                             samples, tol or 1e-9)
         return {"holds": res.holds, "worst_ratio": res.worst_ratio}
     if op == "cartan":
         spec = _need(payload, "map", dict)
         if _need(spec, "kind", str) != "ball-squared":
             raise SchemaError("cartan map kind must be 'ball-squared'")
-        phi = BallAutomorphism((cd(_need(spec, "a", list)),))
-        f = lambda z: ball_apply(phi, ball_apply(phi, z))
-        level = phi.a[0].level
-        samples = _ball_samples(rng, level, int(payload.get("samples", 100)))
+        f, level = _ball_squared(spec)
+        samples = _ball_samples(rng, level, _int(payload, "samples", 100, low=1))
         res = cartan_check(f, CdNumber.zero(level), samples, tol or 1e-8)
         return {"is_identity": res.is_identity, "max_deviation": res.max_deviation}
     raise SchemaError(f"unknown domain op {op!r}")
@@ -319,12 +307,9 @@ def _cmd_contour(payload, rng, tol):
     op = _need(payload, "op", str)
     if op == "integral":
         expr = ph.parse(_need(payload, "phrase", str))
-        raw = _need(payload, "path", dict)
-        path = PlanarPath.from_json(raw)
-        if path.closed and len(path.pts) >= 17:
-            path = PlanarLoop.from_json(raw)
+        path = PlanarPath.from_json(_need(payload, "path", dict))
         val = line_integral(expr, path, _num(payload, "refine", 1e-10),
-                            payload.get("side", "left"))
+                            _need(payload, "side", str, "left"))
         return {"result": val.to_json()}
     if op == "winding":
         res = winding(_loop(payload), _cd(payload, "a"))
@@ -339,16 +324,15 @@ def _cmd_contour(payload, rng, tol):
     if op == "maxmod":
         loop = _loop(payload)
         disc = _need(payload, "disc", dict)
-        center = tuple(_need(disc, "center", list))
-        samples = disc_samples(center, _num(disc, "radius"),
-                               int(payload.get("samples", 500)), rng,
+        samples = disc_samples(tuple(_need(disc, "center", list)), _num(disc, "radius"),
+                               _int(payload, "samples", 500, low=1), rng,
                                a0=loop.a0, m=loop.m)
         res = max_principle_check(_map_spec(payload), loop, samples, tol or 1e-9)
         return {"holds": res.holds, "sup_interior": res.sup_interior,
                 "sup_boundary": res.sup_boundary}
     if op == "locate":
         spec = _need(payload, "rect", dict)
-        rect = PlaneRect(cd(_need(spec, "a0", list)), cd(_need(spec, "M", list)),
+        rect = PlaneRect(_cd(spec, "a0"), _cd(spec, "M"),
                          _num(spec, "x0"), _num(spec, "x1"),
                          _num(spec, "y0"), _num(spec, "y1"))
         found = locate_zeros(_map_spec(payload), rect, _num(payload, "min_cell"),
@@ -368,7 +352,9 @@ def _affine_maps(payload):
 
 def _cmd_normal(payload, rng, tol):
     op = _need(payload, "op", str)
-    grid = CompactGrid.from_json(_need(payload, "grid", dict))
+    spec = _need(payload, "grid", dict)
+    grid = CompactGrid(_cd(spec, "center"), _num(spec, "radius"),
+                       _int(spec, "resolution", 256, low=1))
     if op == "rho":
         maps = _affine_maps(payload)
         if len(maps) != 2:
@@ -376,18 +362,8 @@ def _cmd_normal(payload, rng, tol):
         val = rho(maps[0], maps[1], grid)
         return {"rho": val.value, "resolution": val.resolution}
     if op == "classify":
-        res = classify_sequence(_affine_maps(payload), grid, tol or 1e-3)
-        return res.to_json()
+        return classify_sequence(_affine_maps(payload), grid, tol or 1e-3).to_json()
     raise SchemaError(f"unknown normal op {op!r}")
-
-
-def _cmd_suite(payload, rng, tol, seed):
-    name = _need(payload, "name", str)
-    try:
-        report = run_suite(name, seed)
-    except KeyError as exc:
-        raise SchemaError(str(exc)) from exc
-    return report.to_json()
 
 
 def _cmd_list_suites(payload, rng, tol):
@@ -408,35 +384,67 @@ _COMMANDS = {
 }
 
 
+def _check_values(value, key=None):
+    """Reject, anywhere in the request, a number that is not finite as a
+    double and a boolean outside the field 'strict'."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_values(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            _check_values(v, key)
+    elif isinstance(value, bool) and key != "strict":
+        raise SchemaError(f"field {key!r}: a boolean is accepted only in 'strict'")
+    elif isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise SchemaError(f"field {key!r}: {value!r:.40} is not a finite double")
+
+
 def run(request: dict) -> dict:
-    """Execute one command request {command, payload, seed?, tol?}."""
-    if not isinstance(request, dict):
-        raise SchemaError("request must be a JSON object")
-    command = _need(request, "command", str)
-    payload = request.get("payload", {})
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be a JSON object")
-    seed = request.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SchemaError("seed must be an integer")
-    tol = request.get("tol")
-    if tol is not None and not isinstance(tol, (int, float)):
-        raise SchemaError("tol must be a number")
-    rng = np.random.default_rng(seed)
-    if command == "suite":
-        return _cmd_suite(payload, rng, tol, seed)
-    handler = _COMMANDS.get(command)
-    if handler is None:
-        raise SchemaError(f"unknown command {command!r}")
-    return handler(payload, rng, tol)
+    """Execute one command request {command, payload, seed?, tol?}.
+
+    Every malformed request raises SchemaError here: the values are checked
+    once up front, and the argument errors that the library's constructors
+    and parsers raise on request data become SchemaError.  Library errors
+    (CdconfError) pass through unchanged.
+    """
+    try:
+        if not isinstance(request, dict):
+            raise SchemaError("request must be a JSON object")
+        _check_values(request)
+        command = _need(request, "command", str)
+        payload = _need(request, "payload", dict, {})
+        seed = _int(request, "seed", 0, low=0)
+        tol = _need(request, "tol", (int, float), None)
+        if tol is not None and tol <= 0:
+            raise SchemaError("tol must be positive")
+        if command == "suite":
+            return run_suite(_need(payload, "name", str), seed).to_json()
+        if command not in _COMMANDS:
+            raise SchemaError(f"unknown command {command!r}")
+        return _COMMANDS[command](payload, np.random.default_rng(seed), tol)
+    except CdconfError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
+        raise SchemaError(f"malformed request ({type(exc).__name__}): {exc}") from exc
 
 
 def _emit(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "), allow_nan=False)
+
+
+def _fail(code: int, kind: str, message) -> int:
+    print(_emit({"error": {"type": kind, "message": str(message)}}))
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SchemaError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cdconf",
         description="hypercomplex pseudoconformal analysis over JSON",
     )
@@ -445,9 +453,8 @@ def main(argv=None) -> int:
                         help="payload file, or '-' for stdin (default: empty payload)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         payload = {}
         if args.json == "-":
             text = sys.stdin.read()
@@ -455,10 +462,10 @@ def main(argv=None) -> int:
         elif args.json:
             with open(args.json, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(_emit({"error": {"type": "schema", "message": f"bad payload: {exc}"}}))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SchemaError as exc:
+        return _fail(2, "schema", exc)
+    except (OSError, ValueError, RecursionError) as exc:
+        return _fail(2, "schema", f"bad payload: {exc}")
 
     request = {"command": args.command, "payload": payload, "seed": args.seed}
     if args.tol is not None:
@@ -466,14 +473,14 @@ def main(argv=None) -> int:
     try:
         result = run(request)
     except SchemaError as exc:
-        print(_emit({"error": {"type": "schema", "message": str(exc)}}))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CdconfError as exc:
-        print(_emit({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(_emit(result))
+        return _fail(2, "schema", exc)
+    except (CdconfError, ArithmeticError) as exc:
+        return _fail(1, type(exc).__name__, exc)
+    try:
+        text = _emit(result)
+    except ValueError:
+        return _fail(1, "EvaluationError", "the result is not finite")
+    print(text)
     if args.command == "suite":
         for case in result.get("cases", []):
             status = "pass" if case["passed"] else "FAIL"

@@ -288,7 +288,7 @@ def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float, max_rounds: int = 
         "a zero lies on or next to the contour")
 
 
-def _image_direction(f, loop: PlanarLoop, boundary_tol: float) -> CdNumber:
+def _image_direction(f, loop: PlanarLoop) -> CdNumber:
     """Push the oriented frame (1, M) of the loop's plane through f.
 
     Returns the unit imaginary part of E1^{-1} E2, the directing element
@@ -326,7 +326,7 @@ def count_zeros(f, gamma: PlanarLoop, boundary_tol: float = 1e-9) -> int:
     for va, vb in zip(vals[:-1], vals[1:]):
         acc += ln_principal(mul(inv(va), vb)).coeffs
     total = CdNumber(acc)
-    u = _image_direction(f, gamma, boundary_tol)
+    u = _image_direction(f, gamma)
     signed = float(np.dot(total.coeffs, u.coeffs)) / (2.0 * math.pi)
     n = round(signed)
     if abs(signed - n) > 0.25:

@@ -173,6 +173,8 @@ class MoebiusWord:
             level = inferred.pop()
         elif inferred and level not in inferred:
             raise DimensionError("stated level contradicts the generators")
+        elif not 2 <= level <= 6:
+            raise DimensionError(f"word level {level} outside 2..6")
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "level", level)
 
@@ -219,7 +221,7 @@ class MoebiusWord:
     def from_json(cls, payload, level=None):
         gens = []
         for item in payload:
-            op = item.get("op")
+            op = item["op"]
             if op == "shift":
                 gens.append(Shift(cd(item["c"])))
             elif op == "inv":

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import CdNumber
 from .calculus import DEFAULT_STEP, RealJacobian, jacobian, left_mul_matrix, right_mul_matrix
-from .errors import EvaluationError
+from .errors import DomainError, EvaluationError
 
 __all__ = [
     "CompactGrid",
@@ -28,6 +28,9 @@ __all__ = [
     "Classification",
 ]
 
+# Largest coefficient lattice a grid may build (per_axis ** dim points).
+MAX_LATTICE_POINTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class CompactGrid:
@@ -36,7 +39,8 @@ class CompactGrid:
     resolution is the minimal number of nodes; the lattice is grown until
     at least that many points fall inside the ball.  refined() doubles the
     lattice density keeping every existing node (odd per-axis counts nest),
-    so grid refinement can only add maxima.
+    so grid refinement can only add maxima.  A lattice of more than
+    MAX_LATTICE_POINTS points is refused with DomainError before it is built.
     """
 
     center: CdNumber
@@ -45,10 +49,15 @@ class CompactGrid:
     step: float = DEFAULT_STEP
     per_axis: int | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise DomainError(f"grid radius must be finite and positive, got {self.radius}")
+        if self.resolution < 1:
+            raise DomainError(f"grid resolution must be at least 1, got {self.resolution}")
+
     def _per_axis(self) -> int:
         if self.per_axis is not None:
             return self.per_axis
-        dim = self.center.dim
         per_axis = 2
         while len(self._lattice(per_axis)) < self.resolution:
             per_axis += 1
@@ -56,6 +65,9 @@ class CompactGrid:
 
     def _lattice(self, per_axis: int) -> np.ndarray:
         dim = self.center.dim
+        if per_axis ** dim > MAX_LATTICE_POINTS:
+            raise DomainError(f"a {per_axis}^{dim}-point lattice exceeds "
+                              f"{MAX_LATTICE_POINTS} points")
         axes = [np.linspace(-self.radius, self.radius, per_axis)] * dim
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         return mesh[np.linalg.norm(mesh, axis=1) <= self.radius + 1e-12]
@@ -74,11 +86,6 @@ class CompactGrid:
             "radius": self.radius,
             "resolution": self.resolution,
         }
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(CdNumber(payload["center"]), float(payload["radius"]),
-                   int(payload.get("resolution", 256)))
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class AffineMap:
         return RealJacobian(z.level, left_mul_matrix(self.a) @ right_mul_matrix(self.b))
 
 
-def _features(f, nodes: np.ndarray, level: int, step: float):
+def _features(f, nodes: np.ndarray, step: float):
     """Values and Jacobians of f on all nodes."""
     vals = np.empty_like(nodes)
     jacs = np.empty((len(nodes), nodes.shape[1], nodes.shape[1]))
@@ -133,9 +140,8 @@ def rho(f, g, grid: CompactGrid) -> RhoValue:
     central differences at the grid's step are used.
     """
     nodes = grid.nodes()
-    level = grid.center.level
-    fa = _features(f, nodes, level, grid.step)
-    fb = _features(g, nodes, level, grid.step)
+    fa = _features(f, nodes, grid.step)
+    fb = _features(g, nodes, grid.step)
     return RhoValue(_rho_from_features(fa, fb), len(nodes))
 
 
@@ -175,7 +181,7 @@ def classify_sequence(fs, grid: CompactGrid, tol: float,
     if n < 8:
         raise ValueError("classification needs at least 8 functions")
     nodes = grid.nodes()
-    feats = [_features(f, nodes, grid.center.level, grid.step) for f in fs]
+    feats = [_features(f, nodes, grid.step) for f in fs]
 
     dist = np.zeros((n, n))
     for i in range(n):

@@ -236,7 +236,7 @@ def _make_words(raw) -> tuple:
     combined = {}
     order = {}
     for coeff, tree in raw:
-        if coeff == 0 or tree is None and coeff == 0:
+        if coeff == 0:
             continue
         c2, t2 = _normalize_tree(tree) if tree is not None else (Fraction(1), None)
         c = Fraction(coeff) * c2
@@ -497,10 +497,9 @@ _TOKEN = _re.compile(
 
 
 class _Parser:
-    def __init__(self, text: str, strict: bool):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.strict = strict
 
     def error(self, msg: str):
         raise PhraseSyntaxError(f"{msg} at position {self.pos}", position=self.pos)
@@ -644,7 +643,7 @@ def parse(text: str, strict: bool = False) -> Phrase:
     violations raise MultiplicityError under strict=True and warn
     otherwise.
     """
-    p = _Parser(text, strict)
+    p = _Parser(text)
     words = p.parse_phrase()
     if p.peek() is not None:
         p.error("trailing input")
@@ -768,7 +767,7 @@ def phrase_distance(nu: Phrase, mu: Phrase, params: PhraseMetricParams | None = 
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _as_env(x, what: str) -> dict:
+def _as_env(x) -> dict:
     if x is None:
         return {}
     if isinstance(x, dict):
@@ -797,8 +796,8 @@ def eval_phrase(phrase: Phrase, zval, h=None):
     whenever the phrase contains operator slots; for several variables pass
     dicts {var: value}.
     """
-    zenv = _as_env(zval, "z")
-    henv = _as_env(h, "h")
+    zenv = _as_env(zval)
+    henv = _as_env(h)
     if phrase.has_operator() and not henv:
         raise MissingOperatorArgumentError("phrase contains operator slots; supply h")
     dims = {v.shape[-1] for v in zenv.values()} | {v.shape[-1] for v in henv.values()}

@@ -7,6 +7,7 @@ from cdconf.algebra import CdNumber, cd, exp, inv, mul
 from cdconf.calculus import (
     OctGivensFactorization,
     RealJacobian,
+    dzbar_norm,
     factor_octonion_givens,
     factor_quaternion,
     givens_matrix,
@@ -14,7 +15,6 @@ from cdconf.calculus import (
     jacobian,
     left_mul_matrix,
     right_mul_matrix,
-    split_dz,
 )
 from cdconf.errors import (
     EvaluationError,
@@ -94,35 +94,25 @@ def test_fd_second_order_on_cubic(rng):
 
 
 # ---------------------------------------------------------------------------
-# split
+# conjugated (dz-bar) part
 # ---------------------------------------------------------------------------
 
-def test_split_identity():
-    d = split_dz(RealJacobian(2, np.eye(4)))
-    assert np.abs(d.dzbar_part.entries).max() == 0.0
-    assert np.abs(d.dz_part.entries - np.eye(4)).max() == 0.0
+def test_dzbar_norm_identity():
+    assert dzbar_norm(RealJacobian(2, np.eye(4))) == 0.0
 
 
-def test_split_conjugation():
-    c = np.diag([1.0, -1, -1, -1])
-    d = split_dz(RealJacobian(2, c))
-    assert np.abs(d.dz_part.entries).max() == 0.0
-    assert np.abs(d.dzbar_part.entries - np.eye(4)).max() == 0.0
+def test_dzbar_norm_conjugation():
+    c = RealJacobian(2, np.diag([1.0, -1, -1, -1]))
+    assert dzbar_norm(c) == 1.0
+    v = is_pseudoconformal_at(c, CdNumber.zero(2))
+    assert v.status == "AntiholomorphicPart"
+    assert v.residual == dzbar_norm(c)
 
 
-def test_split_sandwich_has_no_antiholomorphic_part(rng):
+def test_dzbar_norm_sandwich_vanishes(rng):
     a, b = rand_unit(rng, 2), rand_unit(rng, 2)
     j = jacobian(lambda z: mul(mul(a, z), b), cd([0.1, 0.2, -0.1, 0.3]), 1e-4)
-    d = split_dz(j)
-    assert np.linalg.norm(d.dzbar_part.entries, 2) < 1e-7
-
-
-def test_split_reconstructs(rng):
-    # dz_part + dzbar_part o C equals the full operator
-    m = rng.normal(size=(4, 4))
-    d = split_dz(RealJacobian(2, m))
-    c = np.diag([1.0, -1, -1, -1])
-    assert np.allclose(d.dz_part.entries + d.dzbar_part.entries @ c, m)
+    assert dzbar_norm(j) < 1e-7
 
 
 # ---------------------------------------------------------------------------

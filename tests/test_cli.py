@@ -142,7 +142,7 @@ OP_REQUESTS = {
     "algebra.pow_real": ("eval", {"op": "pow", "x": [0, 1, 0, 0], "alpha": 0.5}),
     "algebra.polar": ("eval", {"op": "polar", "x": [1, 1, 0, 0]}),
     # calculus
-    "calculus.jacobian+is_pseudoconformal_at+split_dz": (
+    "calculus.jacobian+is_pseudoconformal_at+dzbar_norm": (
         "check-pc",
         {"map": {"kind": "phrase", "text": "z^2"}, "z": [1, 0.2, 0, 0]},
     ),

@@ -1,9 +1,15 @@
+import itertools
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cdconf.algebra import CdNumber, cd
 from cdconf.calculus import left_mul_matrix
-from cdconf.normal import AffineMap, CompactGrid, classify_sequence, rho
+from cdconf.errors import DomainError
+from cdconf.normal import MAX_LATTICE_POINTS, AffineMap, CompactGrid, classify_sequence, rho
 
 
 @pytest.fixture
@@ -32,6 +38,53 @@ def test_grid_refinement_nests(grid):
     coarse = {tuple(np.round(r, 12)) for r in grid.nodes()}
     fine = {tuple(np.round(r, 12)) for r in grid.refined().nodes()}
     assert coarse <= fine
+
+
+def _reference_nodes(center, radius, per_axis):
+    axis = np.linspace(-radius, radius, per_axis)
+    pts = [p for p in itertools.product(axis, repeat=center.dim)
+           if math.sqrt(sum(x * x for x in p)) <= radius + 1e-12]
+    return center.coeffs + np.array(pts)
+
+
+@pytest.mark.parametrize("level, radius, resolution, per_axis, count", [
+    (2, 1.0, 120, 6, 176),
+    (2, 1.0, 729, 9, 1281),
+    (3, 1.0, 16, 3, 17),
+    (3, 0.5, 64, 4, 256),
+])
+def test_grid_keeps_its_nodes(level, radius, resolution, per_axis, count):
+    g = CompactGrid(CdNumber.real(0.25, level), radius, resolution)
+    nodes = g.nodes()
+    assert nodes.shape == (count, 1 << level)
+    assert np.array_equal(nodes, _reference_nodes(g.center, radius, per_axis))
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_grid_rejects_bad_radius_quickly(radius):
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        CompactGrid(CdNumber.zero(2), radius, 16)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_grid_rejects_zero_resolution():
+    with pytest.raises(DomainError):
+        CompactGrid(CdNumber.zero(2), 1.0, 0)
+
+
+def test_grid_refuses_a_large_lattice_before_building_it():
+    # a 16-coefficient center needs 3^16 points (about 5.5 GB stacked)
+    grid = CompactGrid(CdNumber.zero(4), 1.0, 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            grid.nodes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 ** 16 > MAX_LATTICE_POINTS
+    assert peak < 64 * 2 ** 20
 
 
 def test_rho_self_zero(grid):
