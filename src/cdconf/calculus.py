@@ -31,6 +31,7 @@ __all__ = [
     "OctGivensFactorization",
     "Verdict",
     "DEFAULT_STEP",
+    "finite_value",
     "jacobian",
     "left_mul_matrix",
     "right_mul_matrix",
@@ -39,6 +40,7 @@ __all__ = [
     "factor_quaternion",
     "factor_octonion_givens",
     "givens_matrix",
+    "givens_product",
 ]
 
 DEFAULT_STEP = 1e-5
@@ -90,6 +92,14 @@ def right_mul_matrix(b: CdNumber) -> np.ndarray:
     return cols.T
 
 
+def finite_value(f, z: CdNumber, what: str) -> CdNumber:
+    """f(z), or EvaluationError(what) carrying z when that is not a finite element."""
+    w = f(z)
+    if not isinstance(w, CdNumber) or not np.all(np.isfinite(w.coeffs)):
+        raise EvaluationError(what, point=z)
+    return w
+
+
 def jacobian(f, z: CdNumber, step: float = DEFAULT_STEP) -> RealJacobian:
     """Second-order central-difference Jacobian of f at z.
 
@@ -102,14 +112,8 @@ def jacobian(f, z: CdNumber, step: float = DEFAULT_STEP) -> RealJacobian:
     cols = np.empty((dim, dim))
     for k in range(dim):
         e = CdNumber.basis(k, z.level) * step
-        for sign, point in ((1.0, z + e), (-1.0, z - e)):
-            w = f(point)
-            if not isinstance(w, CdNumber) or not np.all(np.isfinite(w.coeffs)):
-                raise EvaluationError("non-finite sample in jacobian", point=point)
-            if sign > 0:
-                plus = w
-            else:
-                minus = w
+        plus = finite_value(f, z + e, "non-finite sample in jacobian")
+        minus = finite_value(f, z - e, "non-finite sample in jacobian")
         cols[:, k] = (plus.coeffs - minus.coeffs) / (2.0 * step)
     return RealJacobian(z.level, cols, step=step, method="central-2")
 
@@ -271,11 +275,16 @@ def givens_matrix(k: int, m: int, t: float, dim: int = 8) -> np.ndarray:
         raise IndexError(f"plane indices ({k},{m}) out of range")
     g = np.eye(dim)
     c, s = math.cos(t), math.sin(t)
-    g[k, k] = c
-    g[k, m] = s
-    g[m, k] = -s
-    g[m, m] = c
+    g[[k, k, m, m], [k, m, k, m]] = c, s, -s, c
     return g
+
+
+def givens_product(angles, dim: int = 8) -> np.ndarray:
+    """Ordered product G(k_1, m_1, t_1) G(k_2, m_2, t_2) ... of plane rotations."""
+    out = np.eye(dim)
+    for k, m, t in angles:
+        out = out @ givens_matrix(k, m, t, dim)
+    return out
 
 
 @dataclass(frozen=True)
@@ -291,11 +300,7 @@ class OctGivensFactorization:
     level: int = 3
 
     def matrix(self) -> np.ndarray:
-        dim = 1 << self.level
-        out = np.eye(dim)
-        for k, m, t in self.angles:
-            out = out @ givens_matrix(k, m, t, dim)
-        return self.lam * out
+        return self.lam * givens_product(self.angles, 1 << self.level)
 
 
 def factor_octonion_givens(j: RealJacobian, tol: float = 1e-8,

@@ -239,7 +239,7 @@ def _cmd_moebius(payload, rng, tol):
     if op == "reflect":
         return {"result": reflect_conjugate(_cd(payload, "z")).to_json()}
     if op == "schwarz-extend":
-        return {"result": schwarz_extend(_word(payload), _cd(payload, "z")).to_json()}
+        return {"result": _point_or_inf(schwarz_extend(_word(payload), _cd(payload, "z")))}
     raise SchemaError(f"unknown moebius op {op!r}")
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CdNumber, inv, ln_principal, mul
+from .calculus import finite_value
 from .errors import (
     BoundaryZeroError,
     DegenerateLoopError,
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 PHASE_STEP_LIMIT = math.pi / 4  # re-sample an image curve above this per-step phase
+_NOT_EVALUABLE = "map not evaluable on the contour"
 
 
 def _check_directing(m: CdNumber, tol: float = 1e-12):
@@ -160,6 +162,7 @@ class PlanarLoop(PlanarPath):
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GAUSS_NODES = (_GAUSS_NODES + 1.0) / 2.0
 _GAUSS_WEIGHTS = _GAUSS_WEIGHTS / 2.0
+MAX_PARTITION_SEGMENTS = 2 ** 12  # line_integral refines no further
 
 
 def _partition_sum(kernel: Phrase, path: PlanarPath) -> np.ndarray:
@@ -179,14 +182,17 @@ def line_integral(nu: Phrase, gamma: PlanarPath, refine: float = 1e-10,
     The integrand is the operator kernel hat(nu) applied to the segment
     displacements; each segment contributes a Gauss-rule tagged sum, and
     the partition is refined dyadically until two successive estimates
-    agree within `refine`.  Closed paths of z-only phrases integrate to
-    zero; open paths reproduce the endpoint difference of the
-    antiderivative (branch chosen by `side`).
+    agree within `refine`; QuadratureError, with the last two estimates,
+    stops it before the partition exceeds MAX_PARTITION_SEGMENTS segments.
+    Closed paths of z-only phrases integrate to zero; open paths reproduce
+    the endpoint difference of the antiderivative (branch chosen by `side`).
     """
     kernel = hat_operator(nu, side=side)
     path = gamma
     prev = cur = _partition_sum(kernel, path)
     for _ in range(max_levels):
+        if 2 * (len(path.pts) - 1) > MAX_PARTITION_SEGMENTS:
+            break
         path = path.refined()
         cur = _partition_sum(kernel, path)
         if np.linalg.norm(cur - prev) <= refine:
@@ -257,9 +263,7 @@ def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float, max_rounds: int = 
 
     def value(xy):
         z = loop.a0 + CdNumber.real(float(xy[0]), loop.level) + loop.m * float(xy[1])
-        w = f(z)
-        if not isinstance(w, CdNumber) or not np.all(np.isfinite(w.coeffs)):
-            raise EvaluationError("map not evaluable on the contour", point=z)
+        w = finite_value(f, z, _NOT_EVALUABLE)
         if w.norm() <= boundary_tol:
             raise BoundaryZeroError("|f| fell below tolerance on the contour")
         return w
@@ -350,7 +354,7 @@ def rouche_equal(f, g, gamma: PlanarLoop, boundary_tol: float = 1e-9) -> RoucheR
     """
     for row in gamma.embedded()[:-1]:
         zl = CdNumber(row)
-        fv, gv = f(zl), g(zl)
+        fv, gv = finite_value(f, zl, _NOT_EVALUABLE), finite_value(g, zl, _NOT_EVALUABLE)
         if not (fv.norm() < gv.norm()):
             raise PreconditionError(
                 f"|f| >= |g| on the contour ({fv.norm():.3e} >= {gv.norm():.3e})",

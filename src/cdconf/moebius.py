@@ -2,9 +2,12 @@
 
 Words are finite generator sequences applied left to right: shifts z + c,
 the inversion z^{-1}, two-sided unit-free multiplications a z b over H,
-and ordered products of coordinate-plane rotations over O.  The point at
-infinity is handled exactly per generator, making every word a bijection
-of the one-point compactification.
+and ordered products of coordinate-plane rotations over O.  Each generator
+has a `level` (None for Inv) and one array kernel `apply_coeffs` on
+(..., 2^r) finite points, run in turn by `apply_many`.  `apply_word` is its
+exact edge at the point at infinity, with the same bits elsewhere, making
+every word a bijection of the one-point compactification; the reflection
+fixes INF too, so `schwarz_extend` gives INF at a pole (CLI: "inf").
 
 Hyperspheres are the solution sets of
 
@@ -18,12 +21,12 @@ updates below are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import CdNumber, cd, conj_coeffs, inv, mul, mul_coeffs
-from .calculus import givens_matrix
+from .calculus import givens_product
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -70,8 +73,10 @@ INF = _Infinity()
 class Shift:
     c: CdNumber
 
-    def apply(self, z):
-        return INF if z is INF else z + self.c
+    level = property(lambda self: self.c.level)
+
+    def apply_coeffs(self, x):
+        return x + self.c.coeffs
 
     def inverted(self):
         return Shift(-self.c)
@@ -82,9 +87,13 @@ class Shift:
 
 @dataclass(frozen=True)
 class Inv:
-    # infinity bookkeeping (0 <-> INF) lives in apply_word, which knows the level
-    def apply(self, z):
-        return inv(z)
+    # 0 <-> INF lives in apply_word, which knows the level
+    level = None
+
+    def apply_coeffs(self, x):
+        # |x|^2 as a (1, n) @ (n, 1) product gives np.dot's bits on every row
+        n2 = (x[..., None, :] @ x[..., :, None])[..., 0]
+        return conj_coeffs(x) / n2
 
     def inverted(self):
         return Inv()
@@ -97,6 +106,7 @@ class Inv:
 class MulQ:
     a: CdNumber
     b: CdNumber
+    level = 2
 
     def __post_init__(self):
         if self.a.level != 2 or self.b.level != 2:
@@ -104,8 +114,8 @@ class MulQ:
         if self.a.norm() == 0.0 or self.b.norm() == 0.0:
             raise DomainError("MulQ coefficients must be nonzero")
 
-    def apply(self, z):
-        return INF if z is INF else mul(mul(self.a, z), self.b)
+    def apply_coeffs(self, x):
+        return mul_coeffs(mul_coeffs(self.a.coeffs, x), self.b.coeffs)
 
     def inverted(self):
         return MulQ(inv(self.a), inv(self.b))
@@ -118,37 +128,27 @@ class MulQ:
 class RotO:
     """Ordered product of octonion coordinate-plane rotations."""
 
-    angles: tuple  # ((k, m, t), ...)
+    angles: tuple  # ((k, m, t), ...) with integer planes k < m
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    level = 3
 
     def __post_init__(self):
         for k, m, _ in self.angles:
+            if not isinstance(k, (int, np.integer)) or not isinstance(m, (int, np.integer)):
+                raise TypeError(f"rotation plane ({k!r}, {m!r}) must be two integers")
             if not 0 <= k < m <= 7:
                 raise DomainError(f"invalid rotation plane ({k}, {m})")
+        object.__setattr__(self, "matrix", givens_product(self.angles, 8))
 
-    def matrix(self) -> np.ndarray:
-        out = np.eye(8)
-        for k, m, t in self.angles:
-            out = out @ givens_matrix(k, m, t, 8)
-        return out
-
-    def apply(self, z):
-        return INF if z is INF else CdNumber(self.matrix() @ z.coeffs)
+    def apply_coeffs(self, x):
+        # M @ column, not x @ M.T: the batched rows keep M @ x's bits
+        return (self.matrix @ x[..., None])[..., 0]
 
     def inverted(self):
         return RotO(tuple((k, m, -t) for k, m, t in reversed(self.angles)))
 
     def to_json(self):
         return {"op": "roto", "angles": [[k, m, t] for k, m, t in self.angles]}
-
-
-def _generator_level(gen):
-    if isinstance(gen, Shift):
-        return gen.c.level
-    if isinstance(gen, MulQ):
-        return 2
-    if isinstance(gen, RotO):
-        return 3
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ class MoebiusWord:
 
     def __init__(self, generators, level=None):
         generators = tuple(generators)
-        inferred = {lv for g in generators if (lv := _generator_level(g)) is not None}
+        inferred = {g.level for g in generators if g.level is not None}
         if len(inferred) > 1:
             raise DimensionError(f"generators of mixed levels {sorted(inferred)}")
         if level is None:
@@ -181,26 +181,18 @@ class MoebiusWord:
     def __call__(self, z):
         return apply_word(self, z)
 
-    def apply(self, z):
-        return apply_word(self, z)
-
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized application to an (..., 2^r) array of finite points.
+        """Vectorized application to an (..., 2^r) array of finite points;
+        each row equals apply_word at that point, bit for bit.
 
         The caller is responsible for keeping the orbit clear of the
         infinity point (an inversion at zero produces inf entries).
         """
-        out = np.array(pts, dtype=float, copy=True)
+        out = np.array(pts, dtype=float)
+        if out.shape[-1:] != (1 << self.level,):
+            raise DimensionError(f"a level-{self.level} word cannot act on shape {out.shape}")
         for gen in self.generators:
-            if isinstance(gen, Shift):
-                out = out + gen.c.coeffs
-            elif isinstance(gen, Inv):
-                n2 = np.sum(out * out, axis=-1, keepdims=True)
-                out = conj_coeffs(out) / n2
-            elif isinstance(gen, MulQ):
-                out = mul_coeffs(mul_coeffs(gen.a.coeffs, out), gen.b.coeffs)
-            elif isinstance(gen, RotO):
-                out = out @ gen.matrix().T
+            out = gen.apply_coeffs(out)
         return out
 
     def poles(self):
@@ -229,26 +221,24 @@ class MoebiusWord:
             elif op == "mulq":
                 gens.append(MulQ(cd(item["a"]), cd(item["b"])))
             elif op == "roto":
-                gens.append(RotO(tuple((int(k), int(m), float(t)) for k, m, t in item["angles"])))
+                gens.append(RotO(tuple((k, m, float(t)) for k, m, t in item["angles"])))
             else:
                 raise DomainError(f"unknown generator {op!r}")
         return cls(gens, level)
 
 
 def apply_word(word: MoebiusWord, z):
-    """Apply the word with exact infinity bookkeeping (total on the
-    compactification): Inv swaps 0 and INF, the others fix INF."""
+    """Apply the word with exact infinity bookkeeping (Inv swaps 0 and INF,
+    the others fix INF) and apply_many's kernels everywhere else."""
+    if z is not INF and z.dim != 1 << word.level:
+        raise DimensionError(f"a level-{word.level} word cannot act on {z.dim} coefficients")
+    x = INF if z is INF else z.coeffs
     for gen in word.generators:
-        if isinstance(gen, Inv):
-            if z is INF:
-                z = CdNumber.zero(word.level)
-            elif z.norm() == 0.0:
-                z = INF
-            else:
-                z = inv(z)
-        else:
-            z = gen.apply(z)
-    return z
+        if isinstance(gen, Inv) and (x is INF or np.dot(x, x) == 0.0):
+            x = np.zeros(1 << word.level) if x is INF else INF
+        elif x is not INF:
+            x = gen.apply_coeffs(x)
+    return INF if x is INF else CdNumber(x)
 
 
 def compose(w1: MoebiusWord, w2: MoebiusWord) -> MoebiusWord:
@@ -373,7 +363,7 @@ def map_hypersphere(word: MoebiusWord, s: Hypersphere) -> Hypersphere:
             e = e / (gen.a.norm2() * gen.b.norm2())
             j = mul(mul(inv(gen.a.conj()), j), inv(gen.b.conj()))
         elif isinstance(gen, RotO):
-            j = CdNumber(gen.matrix() @ j.coeffs)
+            j = CdNumber(gen.matrix @ j.coeffs)
         out = Hypersphere(e, j, d)
         e, j, d = out.e, out.j, out.d
     return Hypersphere(e, j, d).normalized()
@@ -394,16 +384,18 @@ def symmetric_point(z1: CdNumber, s: Hypersphere):
 # reflection extension
 # ---------------------------------------------------------------------------
 
-def reflect_conjugate(z: CdNumber) -> CdNumber:
-    """Reflection across the hyperplane of vanishing last coefficient."""
+def reflect_conjugate(z):
+    """Reflection across the hyperplane of vanishing last coefficient; fixes INF."""
+    if z is INF:
+        return INF
     c = z.coeffs.copy()
     c[-1] = -c[-1]
     return CdNumber(c)
 
 
-def schwarz_extend(f, z: CdNumber, domain=None) -> CdNumber:
-    """Extension theta(f(theta(z))) of f through the last-coefficient
-    hyperplane; raises DomainError when theta(z) falls outside f's domain."""
+def schwarz_extend(f, z: CdNumber, domain=None):
+    """Extension theta(f(theta(z))) of f through the last-coefficient hyperplane
+    (INF at a pole); raises DomainError when theta(z) falls outside f's domain."""
     zr = reflect_conjugate(z)
     if domain is not None and not domain(zr):
         raise DomainError("reflected point lies outside the declared domain")

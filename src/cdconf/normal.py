@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CdNumber
-from .calculus import DEFAULT_STEP, RealJacobian, jacobian, left_mul_matrix, right_mul_matrix
-from .errors import DomainError, EvaluationError
+from .calculus import (DEFAULT_STEP, RealJacobian, finite_value, jacobian, left_mul_matrix,
+                       right_mul_matrix)
+from .errors import DomainError
 
 __all__ = [
     "CompactGrid",
@@ -119,10 +120,7 @@ def _features(f, nodes: np.ndarray, step: float):
     analytic = getattr(f, "jacobian_at", None)
     for k, row in enumerate(nodes):
         z = CdNumber(row)
-        w = f(z)
-        if not isinstance(w, CdNumber) or not np.all(np.isfinite(w.coeffs)):
-            raise EvaluationError("map not evaluable on a grid node", point=z)
-        vals[k] = w.coeffs
+        vals[k] = finite_value(f, z, "map not evaluable on a grid node").coeffs
         jacs[k] = (analytic(z) if analytic else jacobian(f, z, step)).entries
     return vals, jacs
 

@@ -138,13 +138,12 @@ def random_word(rng, level=2, n_gens=4, shift_scale=1.0):
 
 def word_safe_at(word, z, low=0.05, high=50.0):
     """True when the orbit of z stays well clear of poles and blow-up."""
-    cur = z
+    x = z.coeffs
     for gen in word.generators:
-        if isinstance(gen, Inv):
-            if cur is INF or not low < cur.norm() < high:
-                return False
-        cur = apply_word(MoebiusWord([gen], word.level), cur)
-        if cur is INF or cur.norm() > high:
+        if isinstance(gen, Inv) and not low < np.linalg.norm(x) < high:
+            return False
+        x = gen.apply_coeffs(x)
+        if np.linalg.norm(x) > high:
             return False
     return True
 

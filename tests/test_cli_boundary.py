@@ -45,6 +45,13 @@ TWO_MAPS = [[[1, 0, 0, 0], [1, 0, 0, 0], ZERO4], [[1, 0, 0, 0], [1, 0, 0, 0], [0
 UNIT16 = [1] + [0] * 15
 CONJ_MAP = {"map": {"kind": "phrase", "text": "zc"}, "z": [0.5, 0, 0, 0]}
 FRAME_MAP = {"kind": "frame", "u": [0, 1, 0, 0], "v": [0, 0, 1, 0]}
+POINT8 = [0.1 * k for k in range(8)]
+SEGMENT16 = {"a0": ZERO4, "M": [0, 1, 0, 0], "pts": [[0.1 * k, 0.05 * k] for k in range(17)]}
+UNIT_LOOP = {"a0": ZERO4, "M": [0, 1, 0, 0],
+             "pts": [[math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)]
+                     for k in range(16)] + [[1.0, 0.0]]}
+UNIT_LOOP["pts"][0] = [1.0, 0.0]
+SCHWARZ_POLE = {"op": "schwarz-extend", "word": [{"op": "inv"}], "level": 2, "z": ZERO4}
 
 
 def grid(**kw):
@@ -79,6 +86,19 @@ TABLE = [
     ("word-generator-not-an-object", ["moebius"],
      {"op": "apply", "word": [{"op": "shift", "c": [1, 0, 0, 0]}, 5], "z": [1, 0, 0, 0]}, 2),
     ("word-level-40", ["moebius"], {"op": "apply", "word": [{"op": "inv"}], "level": 40, "z": "inf"}, 1),
+    ("roto-float-planes", ["moebius"],
+     {"op": "apply", "word": [{"op": "roto", "angles": [[2.9, 5.2, 0.7]]}], "z": POINT8}, 2),
+    ("integral-refine-0", ["contour"],
+     {"op": "integral", "phrase": "z^2", "path": SEGMENT16, "refine": 0}, 1),
+    ("rouche-pole-on-loop", ["contour"],
+     {"op": "rouche", "f": {"kind": "moebius", "word": [{"op": "shift", "c": [-1, 0, 0, 0]},
+                                                        {"op": "inv"}]},
+      "g": {"kind": "phrase", "text": "z"}, "loop": UNIT_LOOP}, 1),
+    ("inv-word-level-2-at-8-coefficients", ["moebius"],
+     {"op": "apply", "word": [{"op": "inv"}], "level": 2, "z": POINT8}, 1),
+    ("roto-word-at-4-coefficients", ["moebius"],
+     {"op": "apply", "word": [{"op": "roto", "angles": [[2, 5, 0.7]]}], "z": [1, 2, 3, 4]}, 1),
+    ("schwarz-extend-pole", ["moebius"], SCHWARZ_POLE, 0),
     ("mul-overflows-to-infinity", ["eval"],
      {"op": "mul", "x": [1e200, 0, 0, 0], "y": [1e200, 0, 0, 0]}, 1),
     ("exp-overflow", ["eval"], {"op": "exp", "x": [1000, 0, 0, 0]}, 1),
@@ -95,10 +115,16 @@ def test_boundary_table(argv, payload, code):
     text = payload if isinstance(payload, str) else json.dumps(payload)
     got, doc, elapsed = invoke(argv, text)
     assert got == code, doc
-    assert "error" in doc
+    assert ("error" in doc) == (code != 0)
     if code == 2:
         assert doc["error"]["type"] == "schema"
     assert elapsed < TIME_LIMIT_S
+
+
+def test_schwarz_extension_through_a_pole_is_infinity():
+    # the reflection fixes INF, so the extension of z^{-1} at 0 is INF
+    code, doc, _ = invoke(["moebius"], json.dumps(SCHWARZ_POLE))
+    assert (code, doc) == (0, {"result": "inf"})
 
 
 def test_conjugation_stays_antiholomorphic_with_a_valid_tol():
@@ -124,10 +150,6 @@ def test_argument_errors_are_schema_errors():
 # fuzzing main(): valid values mixed with malformed ones, field by field
 # ---------------------------------------------------------------------------
 
-UNIT_LOOP = {"a0": ZERO4, "M": [0, 1, 0, 0],
-             "pts": [[math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)]
-                     for k in range(16)] + [[1.0, 0.0]]}
-UNIT_LOOP["pts"][0] = [1.0, 0.0]
 SEGMENT = {"a0": ZERO4, "M": [0, 1, 0, 0], "pts": [[0.1 * k, 0.05 * k] for k in range(5)]}
 
 VECTORS = [[0.3, 0.1, 0, 0], [1, 2, 3, 4], ZERO4, [0.2] * 8, [1, 2, 3], [[0.1, 0, 0, 0]]]

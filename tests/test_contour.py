@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, inv, mul
 from cdconf.contour import (
+    MAX_PARTITION_SEGMENTS,
     PlanarLoop,
     PlanarPath,
     PlaneRect,
@@ -21,6 +23,7 @@ from cdconf.errors import (
     BoundaryZeroError,
     DegenerateLoopError,
     DomainError,
+    EvaluationError,
     PreconditionError,
     QuadratureError,
 )
@@ -118,6 +121,28 @@ def test_integral_nonconvergence_error():
     with pytest.raises(QuadratureError) as err:
         line_integral(ph.parse("z^3"), seg, refine=0.0, max_levels=1)
     assert err.value.estimates is not None
+
+
+def test_integral_partition_stays_bounded():
+    # refine 0 never converges; the partition stops at MAX_PARTITION_SEGMENTS
+    seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.6, 0.8), n=16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError) as err:
+            line_integral(ph.parse("z^2"), seg, refine=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(e, CdNumber) for e in err.value.estimates)
+    assert peak < 64 * 2 ** 20
+
+
+def test_integral_refuses_to_refine_past_the_segment_bound():
+    seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.0, 0.0), n=MAX_PARTITION_SEGMENTS)
+    with pytest.raises(QuadratureError) as err:
+        line_integral(ph.parse("z"), seg, refine=0.0)
+    first, last = err.value.estimates
+    assert first == last  # the one partition built, nothing finer
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +259,14 @@ def test_moebius_word_winding_matches_prediction(rng):
 # ---------------------------------------------------------------------------
 # Rouche
 # ---------------------------------------------------------------------------
+
+def test_rouche_pole_on_the_loop_is_an_evaluation_error():
+    loop = PlanarLoop.circle(ZERO, I1, radius=1.0, n=16)
+    f = MoebiusWord([Shift(CdNumber.real(-1.0, 2)), Inv()], 2)
+    with pytest.raises(EvaluationError) as err:
+        rouche_equal(f, lambda z: z, loop)
+    assert err.value.point == CdNumber.one(2)
+
 
 def test_rouche_examples(unit_loop):
     res = rouche_equal(lambda z: CdNumber.real(0.1, 2), lambda z: z, unit_loop)

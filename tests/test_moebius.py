@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdconf.algebra import CdNumber, cd, inv, mul
-from cdconf.calculus import factor_quaternion, is_pseudoconformal_at, jacobian
+from cdconf.calculus import factor_quaternion, givens_product, is_pseudoconformal_at, jacobian
 from cdconf.errors import DimensionError, DomainError
 from cdconf.moebius import (
     INF,
@@ -80,6 +82,41 @@ def test_levels_enforced():
         MoebiusWord([Shift(ONE), Shift(CdNumber.one(3))])
     with pytest.raises(DimensionError):
         compose(MoebiusWord([Inv()], 2), MoebiusWord([Inv()], 3))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]))
+def test_apply_many_rows_equal_apply_word_bitwise(seed, level):
+    rng = np.random.default_rng(seed)
+    w = random_word(rng, level, n=int(rng.integers(1, 7)))
+    pts = rng.normal(size=(16, 1 << level)) * rng.uniform(0.1, 3.0)
+    many = w.apply_many(pts)
+    for p, row in zip(pts, many):
+        out = apply_word(w, CdNumber(p))
+        assert out is not INF
+        assert np.array_equal(row, out.coeffs)
+
+
+def test_point_level_must_match_the_word():
+    eight = CdNumber.one(3)
+    rot = MoebiusWord([RotO(((2, 5, 0.7),))])
+    for w, z in ((MoebiusWord([Inv()], 2), eight), (MoebiusWord([Shift(ONE)]), eight),
+                 (rot, ONE)):
+        with pytest.raises(DimensionError):
+            apply_word(w, z)
+        with pytest.raises(DimensionError):
+            w.apply_many(z.coeffs[None, :])
+
+
+def test_roto_planes_are_integers():
+    with pytest.raises(TypeError):
+        RotO(((2.9, 5.2, 0.7),))
+    with pytest.raises(TypeError):
+        MoebiusWord.from_json([{"op": "roto", "angles": [[2.0, 5, 0.7]]}])
+    with pytest.raises(DomainError):
+        RotO(((5, 8, 0.7),))
+    angles = ((0, 3, 0.4), (2, 6, -1.1))
+    assert np.array_equal(RotO(angles).matrix, givens_product(angles, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +335,11 @@ def test_schwarz_extension_matches_word(rng):
         got = schwarz_extend(f, z)
         want = apply_word(w, z)
         assert (got - want).norm() <= 1e-10 * max(1.0, want.norm())
+
+
+def test_reflection_fixes_infinity():
+    assert reflect_conjugate(INF) is INF
+    assert schwarz_extend(MoebiusWord([Inv()], 2), CdNumber.zero(2)) is INF
 
 
 def test_schwarz_domain_check():
