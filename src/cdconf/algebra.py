@@ -44,6 +44,8 @@ __all__ = [
     "mul_coeffs",
     "conj_coeffs",
     "basis_product",
+    "real_array",
+    "real_number",
 ]
 
 # Default absolute tolerance for algebraic identities on unit-scale inputs.
@@ -107,6 +109,24 @@ def conj_coeffs(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def real_array(values) -> np.ndarray:
+    """values as a float array; TypeError unless numpy reads them as ints
+    or floats (a numeric string is not a number)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" and not (
+            arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat)):
+        raise TypeError(f"expected real numbers, got {arr.dtype} values")
+    return arr.astype(float, copy=False)
+
+
+def real_number(value) -> float:
+    """value as a float; TypeError unless it is one int or float."""
+    arr = real_array(value)
+    if arr.ndim:
+        raise TypeError(f"expected one real number, got shape {arr.shape}")
+    return float(arr)
+
+
 @dataclass(frozen=True)
 class CdNumber:
     """One element of A_r as 2^r real coefficients (coefficient k = i_k part)."""
@@ -114,7 +134,7 @@ class CdNumber:
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=float)
+        arr = real_array(coeffs)
         if arr.ndim != 1 or arr.shape[0] not in _VALID_DIMS:
             raise DimensionError(
                 f"coefficient vector must have length in {_VALID_DIMS}, got shape {arr.shape}"

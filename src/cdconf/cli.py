@@ -6,8 +6,9 @@ codes: 0 success; 1 domain/precondition failure or a non-finite result
 (structured error object on stdout); 2 malformed request (schema error
 object on stdout): a payload that is not JSON, a number anywhere in the
 request that is not finite as a double, a boolean in any field but
-`strict`, a missing or mistyped field, or an out-of-range argument
-(`--tol` must be finite and positive, `--seed` nonnegative, counts >= 1).
+`strict`, a missing or mistyped field (a numeric string is not a number),
+or an out-of-range argument (`--tol` must be finite and positive, `--seed`
+nonnegative, counts >= 1, `samples` at most MAX_SAMPLES).
 `run` alone decides whether a request is malformed.
 
 All randomized behavior (sampled verifier inputs, suites) derives from
@@ -77,6 +78,10 @@ __all__ = ["run", "main"]
 _REQUIRED = object()
 _FLOAT_MAX = sys.float_info.max
 
+# Largest sample count a request may ask of `domain schwarz`, `domain cartan`
+# and `contour maxmod`; their work grows linearly with it.
+MAX_SAMPLES = 10_000
+
 
 def _need(payload, key, kind=None, default=_REQUIRED):
     """payload[key] of the given type; default when absent, if one is given."""
@@ -101,6 +106,13 @@ def _int(payload, key, default=_REQUIRED, low=None) -> int:
         raise SchemaError(f"field {key!r} must be an integer"
                           + ("" if low is None else f" >= {low}"))
     return val
+
+
+def _samples(payload, default) -> int:
+    n = _int(payload, "samples", default, low=1)
+    if n > MAX_SAMPLES:
+        raise SchemaError(f"field 'samples' must be at most {MAX_SAMPLES}")
+    return n
 
 
 def _cd(payload, key) -> CdNumber:
@@ -180,7 +192,7 @@ def _cmd_check_pc(payload, rng, tol):
 
 def _cmd_factor(payload, rng, tol):
     if "matrix" in payload:
-        matrix = np.asarray(_need(payload, "matrix", list), float)
+        matrix = algebra.real_array(_need(payload, "matrix", list))
         jac = RealJacobian(_int(payload, "level"), matrix)
     else:
         jac = jacobian(_map_spec(payload), _cd(payload, "z"), _num(payload, "step", 1e-5))
@@ -283,7 +295,7 @@ def _cmd_domain(payload, rng, tol):
             f, level = _ball_squared(spec)
         else:
             raise SchemaError(f"unknown schwarz map kind {kind!r}")
-        samples = _ball_samples(rng, level, _int(payload, "samples", 100, low=1))
+        samples = _ball_samples(rng, level, _samples(payload, 100))
         res = schwarz_check(f, HomogeneousNorm(_need(payload, "norm_in", str, "euclidean")),
                             HomogeneousNorm(_need(payload, "norm_out", str, "euclidean")),
                             samples, tol or 1e-9)
@@ -293,7 +305,7 @@ def _cmd_domain(payload, rng, tol):
         if _need(spec, "kind", str) != "ball-squared":
             raise SchemaError("cartan map kind must be 'ball-squared'")
         f, level = _ball_squared(spec)
-        samples = _ball_samples(rng, level, _int(payload, "samples", 100, low=1))
+        samples = _ball_samples(rng, level, _samples(payload, 100))
         res = cartan_check(f, CdNumber.zero(level), samples, tol or 1e-8)
         return {"is_identity": res.is_identity, "max_deviation": res.max_deviation}
     raise SchemaError(f"unknown domain op {op!r}")
@@ -325,7 +337,7 @@ def _cmd_contour(payload, rng, tol):
         loop = _loop(payload)
         disc = _need(payload, "disc", dict)
         samples = disc_samples(tuple(_need(disc, "center", list)), _num(disc, "radius"),
-                               _int(payload, "samples", 500, low=1), rng,
+                               _samples(payload, 500), rng,
                                a0=loop.a0, m=loop.m)
         res = max_principle_check(_map_spec(payload), loop, samples, tol or 1e-9)
         return {"holds": res.holds, "sup_interior": res.sup_interior,

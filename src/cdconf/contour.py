@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CdNumber, inv, ln_principal, mul
+from .algebra import CdNumber, inv, ln_principal, mul, real_array
 from .calculus import finite_value
 from .errors import (
     BoundaryZeroError,
@@ -68,7 +68,7 @@ class PlanarPath:
         _check_directing(m)
         if m.dim != a0.dim:
             raise DomainError("a0 and M must share one algebra level")
-        pts = np.asarray(pts, dtype=float)
+        pts = real_array(pts)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < self.min_segments + 1:
             raise DomainError(
                 f"need at least {self.min_segments} segments of (x, y) samples")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CdNumber, cd, conj_coeffs, inv, mul, mul_coeffs
+from .algebra import CdNumber, cd, conj_coeffs, inv, mul, mul_coeffs, real_number
 from .calculus import givens_product
 from .errors import DimensionError, DomainError
 
@@ -221,7 +221,7 @@ class MoebiusWord:
             elif op == "mulq":
                 gens.append(MulQ(cd(item["a"]), cd(item["b"])))
             elif op == "roto":
-                gens.append(RotO(tuple((k, m, float(t)) for k, m, t in item["angles"])))
+                gens.append(RotO(tuple((k, m, real_number(t)) for k, m, t in item["angles"])))
             else:
                 raise DomainError(f"unknown generator {op!r}")
         return cls(gens, level)
@@ -323,7 +323,7 @@ class Hypersphere:
 
     @classmethod
     def from_json(cls, payload):
-        return cls(float(payload["E"]), cd(payload["J"]), float(payload["D"]))
+        return cls(real_number(payload["E"]), cd(payload["J"]), real_number(payload["D"]))
 
 
 def sphere_residual(s: Hypersphere, z) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re as _re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,27 +100,32 @@ class Const:
 
 
 @dataclass(frozen=True)
-class E:
+class _Marker:
+    """A leaf of one variable: a marker (e, ec) or an operator slot (I, Ic)."""
+
     var: int = 1
 
 
-@dataclass(frozen=True)
-class Ec:
-    var: int = 1
+class E(_Marker):
+    symbol = "e"
+
+
+class Ec(_Marker):
+    symbol = "ec"
+
+
+class OneOp(_Marker):
+    symbol = "I"
+
+
+class OneOpC(_Marker):
+    symbol = "Ic"
 
 
 @dataclass(frozen=True)
-class OneOp:
-    var: int = 1
+class _Power:
+    """A power z^p or zc^p of one variable."""
 
-
-@dataclass(frozen=True)
-class OneOpC:
-    var: int = 1
-
-
-@dataclass(frozen=True)
-class ZPow:
     p: int
     var: int = 1
 
@@ -128,14 +134,12 @@ class ZPow:
             raise PhraseSemanticError("powers must be >= 1")
 
 
-@dataclass(frozen=True)
-class ZcPow:
-    p: int
-    var: int = 1
+class ZPow(_Power):
+    symbol = "z"
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise PhraseSemanticError("powers must be >= 1")
+
+class ZcPow(_Power):
+    symbol = "zc"
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ class Mul:
     right: object
 
 
-_LEAF_TYPES = (Const, E, Ec, OneOp, OneOpC, ZPow, ZcPow)
+_SYMBOLS = {cls.symbol: cls for cls in (E, Ec, OneOp, OneOpC, ZPow, ZcPow)}
 
 
 def _leaves(tree):
@@ -156,7 +160,7 @@ def _leaves(tree):
 
 
 def _tree_degree(tree) -> int:
-    return sum(leaf.p for leaf in _leaves(tree) if isinstance(leaf, (ZPow, ZcPow)))
+    return sum(leaf.p for leaf in _leaves(tree) if isinstance(leaf, _Power))
 
 
 def _tree_level(tree):
@@ -189,7 +193,7 @@ def _normalize_tree(tree):
         if not arr[1:].any():
             return Fraction(arr[0]), None
         return Fraction(1), tree
-    if isinstance(tree, _LEAF_TYPES):
+    if isinstance(tree, (_Marker, _Power)):
         return Fraction(1), tree
     if not isinstance(tree, Mul):
         raise PhraseSemanticError(f"unknown phrase node {tree!r}")
@@ -206,10 +210,8 @@ def _normalize_tree(tree):
         prod = mul_coeffs(np.asarray(left.values), np.asarray(right.values))
         c2, folded = _normalize_tree(Const(tuple(prod)))
         return coeff * c2, folded
-    if isinstance(left, ZPow) and isinstance(right, ZPow) and left.var == right.var:
-        return coeff, ZPow(left.p + right.p, left.var)
-    if isinstance(left, ZcPow) and isinstance(right, ZcPow) and left.var == right.var:
-        return coeff, ZcPow(left.p + right.p, left.var)
+    if isinstance(left, _Power) and type(left) is type(right) and left.var == right.var:
+        return coeff, type(left)(left.p + right.p, left.var)
     if isinstance(left, ZcPow) and isinstance(right, ZPow) and left.var == right.var:
         # conjugate powers of one variable commute; z powers display left
         return coeff, Mul(right, left)
@@ -253,16 +255,13 @@ def _make_words(raw) -> tuple:
 
 
 class Phrase:
-    """A finite sum of words; immutable, with value and operator semantics."""
+    """A finite sum of words, built from (coefficient, tree) pairs; immutable,
+    with value and operator semantics."""
 
     __slots__ = ("words", "_level")
 
     def __init__(self, words):
-        if words and isinstance(words[0], Word):
-            raw = [(w.coeff, w.tree) for w in words]
-        else:
-            raw = list(words)
-        object.__setattr__(self, "words", _make_words(raw))
+        object.__setattr__(self, "words", _make_words(words))
         level = None
         for w in self.words:
             lv = _tree_level(w.tree)
@@ -302,7 +301,7 @@ class Phrase:
     def __add__(self, other):
         if not isinstance(other, Phrase):
             return NotImplemented
-        return Phrase([(w.coeff, w.tree) for w in self.words + other.words])
+        return Phrase(_terms(self) + _terms(other))
 
     def __sub__(self, other):
         if not isinstance(other, Phrase):
@@ -320,9 +319,7 @@ class Phrase:
                 for b in other.words
             ]
             return Phrase(pairs)
-        if isinstance(other, (int, Fraction)):
-            return Phrase([(w.coeff * other, w.tree) for w in self.words])
-        if isinstance(other, float):
+        if isinstance(other, (int, float, Fraction)):
             return Phrase([(w.coeff * Fraction(other), w.tree) for w in self.words])
         if isinstance(other, CdNumber):
             return self * const(other)
@@ -336,9 +333,7 @@ class Phrase:
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Phrase([(w.coeff / other, w.tree) for w in self.words])
-        if isinstance(other, float):
+        if isinstance(other, (int, float, Fraction)):
             return Phrase([(w.coeff / Fraction(other), w.tree) for w in self.words])
         return NotImplemented
 
@@ -432,20 +427,11 @@ def _fmt_num(x: float) -> str:
 def _render_leaf(leaf) -> str:
     if isinstance(leaf, Const):
         return "[" + ", ".join(_fmt_num(v) for v in leaf.values) + "]"
+    if not isinstance(leaf, (_Marker, _Power)):
+        raise PhraseSemanticError(f"cannot render {leaf!r}")
     sub = "" if leaf.var == 1 else f"_{leaf.var}"
-    if isinstance(leaf, E):
-        return f"e{sub}"
-    if isinstance(leaf, Ec):
-        return f"ec{sub}"
-    if isinstance(leaf, OneOp):
-        return f"I{sub}"
-    if isinstance(leaf, OneOpC):
-        return f"Ic{sub}"
-    if isinstance(leaf, ZPow):
-        return f"z{sub}" + (f"^{leaf.p}" if leaf.p != 1 else "")
-    if isinstance(leaf, ZcPow):
-        return f"zc{sub}" + (f"^{leaf.p}" if leaf.p != 1 else "")
-    raise PhraseSemanticError(f"cannot render {leaf!r}")
+    power = f"^{leaf.p}" if isinstance(leaf, _Power) and leaf.p != 1 else ""
+    return f"{leaf.symbol}{sub}{power}"
 
 
 def _render_tree(tree) -> str:
@@ -565,34 +551,26 @@ class _Parser:
             var = int(m.group("var")) if m.group("var") else 1
             p = int(m.group("pow")) if m.group("pow") else None
             name = m.group("name")
-            if p is not None and name not in ("z", "zc"):
-                self.error(f"'^' not allowed after {name!r}")
-            leaf = {
-                "z": lambda: ZPow(p or 1, var),
-                "zc": lambda: ZcPow(p or 1, var),
-                "e": lambda: E(var),
-                "ec": lambda: Ec(var),
-                "I": lambda: OneOp(var),
-                "Ic": lambda: OneOpC(var),
-            }[name]()
-            return [(Fraction(1), leaf)]
+            cls = _SYMBOLS[name]
+            if not issubclass(cls, _Power):
+                if p is not None:
+                    self.error(f"'^' not allowed after {name!r}")
+                return [(Fraction(1), cls(var))]
+            return [(Fraction(1), cls(p or 1, var))]
         punct = m.group("punct")
         if punct == "[":
             self.take()
             values = []
             while True:
                 m2 = self.take()
+                minus = m2 is not None and m2.group("punct") == "-"
+                if minus:
+                    m2 = self.take()
                 if m2 is None or m2.group("num") is None:
-                    # allow a leading minus inside the bracket list
-                    if m2 is not None and m2.group("punct") == "-":
-                        m3 = self.take()
-                        if m3 is None or m3.group("num") is None:
-                            self.error("expected a number after '-'")
-                        values.append(-float(m3.group("num")))
-                    else:
-                        self.error("expected a number in constant")
-                else:
-                    values.append(float(m2.group("num")))
+                    self.error("expected a number after '-'" if minus
+                               else "expected a number in constant")
+                value = float(m2.group("num"))
+                values.append(-value if minus else value)
                 m2 = self.take()
                 if m2 is None:
                     self.error("unterminated constant")
@@ -658,24 +636,9 @@ def parse(text: str, strict: bool = False) -> Phrase:
 # ---------------------------------------------------------------------------
 
 def _word_counts(word: Word, var: int):
-    ne = nec = nop = nopc = 0
-    has_z = has_zc = False
-    for leaf in _leaves(word.tree):
-        if isinstance(leaf, Const) or leaf.var != var:
-            continue
-        if isinstance(leaf, E):
-            ne += 1
-        elif isinstance(leaf, Ec):
-            nec += 1
-        elif isinstance(leaf, OneOp):
-            nop += 1
-        elif isinstance(leaf, OneOpC):
-            nopc += 1
-        elif isinstance(leaf, ZPow):
-            has_z = True
-        elif isinstance(leaf, ZcPow):
-            has_zc = True
-    return ne, nec, nop, nopc, has_z, has_zc
+    n = Counter(type(leaf) for leaf in _leaves(word.tree)
+                if not isinstance(leaf, Const) and leaf.var == var)
+    return n[E], n[Ec], n[OneOp], n[OneOpC], n[ZPow] > 0, n[ZcPow] > 0
 
 
 def check_multiplicity(phrase: Phrase, strict: bool = False) -> list:
@@ -726,7 +689,7 @@ def word_length(w: Word) -> int:
     """
     total = 0 if w.coeff == 1 else 1
     for leaf in _leaves(w.tree):
-        if isinstance(leaf, (ZPow, ZcPow)):
+        if isinstance(leaf, _Power):
             total += leaf.p + 1
         else:
             total += 1
@@ -868,24 +831,35 @@ def _has_active(tree, var: int) -> bool:
     )
 
 
-def _d_tree(tree, var: int) -> list:
-    """Derivative at h=1: list of (Fraction, tree) terms."""
+def _leibniz(tree, leaf_rule) -> list:
+    """Product rule down the bracket tree: the (c, tree') terms in which one
+    leaf is replaced by each (c, leaf') term of leaf_rule(leaf)."""
     if isinstance(tree, Mul):
-        out = [(c, Mul(t, tree.right)) for c, t in _d_tree(tree.left, var)]
-        out += [(c, Mul(tree.left, t)) for c, t in _d_tree(tree.right, var)]
-        return out
-    if isinstance(tree, ZPow) and tree.var == var:
-        if tree.p == 1:
-            return [(Fraction(1), E(var))]
-        return [(Fraction(tree.p), ZPow(tree.p - 1, var))]
-    return []
+        return ([(c, Mul(t, tree.right)) for c, t in _leibniz(tree.left, leaf_rule)]
+                + [(c, Mul(tree.left, t)) for c, t in _leibniz(tree.right, leaf_rule)])
+    return leaf_rule(tree)
 
 
-def _d_terms(terms: list, var: int) -> list:
-    out = []
-    for c, t in terms:
-        out += [(c * c2, t2) for c2, t2 in _d_tree(t, var)]
-    return out
+def _expand(terms, rule) -> list:
+    """The (c c2, t2) terms over every (c2, t2) in rule(t), for each (c, t)."""
+    return [(c * c2, t2) for c, t in terms for c2, t2 in rule(t)]
+
+
+def _terms(phrase: Phrase) -> list:
+    return [(w.coeff, w.tree) for w in phrase.words]
+
+
+def _d_leaf(leaf, var: int) -> list:
+    """Derivative at h=1 of one leaf: z -> e, z^p -> p z^{p-1}."""
+    if not (isinstance(leaf, ZPow) and leaf.var == var):
+        return []
+    if leaf.p == 1:
+        return [(Fraction(1), E(var))]
+    return [(Fraction(leaf.p), ZPow(leaf.p - 1, var))]
+
+
+def _d_tree(tree, var: int) -> list:
+    return _leibniz(tree, lambda leaf: _d_leaf(leaf, var))
 
 
 def _a_tree(tree, var: int, side: str) -> list:
@@ -905,43 +879,19 @@ def _a_tree(tree, var: int, side: str) -> list:
         return [(c, Mul(t, tree.right)) for c, t in _a_tree(tree.left, var, side)]
     if not lact:
         return [(c, Mul(tree.left, t)) for c, t in _a_tree(tree.right, var, side)]
-    # both sides active: telescoping series along the top product
+    # both sides active: telescoping series along the top product; the right
+    # side antidifferentiates the right factor and swaps the factors back
+    left = side == "left"
+    anti = [(Fraction(1), tree.left if left else tree.right)]
+    deriv = [(Fraction(1), tree.right if left else tree.left)]
     out = []
-    if side == "left":
-        anti = [(Fraction(1), tree.left)]
-        deriv = [(Fraction(1), tree.right)]
-        s = 0
-        while deriv:
-            anti = _a_terms(anti, var, side)
-            sign = -1 if s % 2 else 1
-            out += [
-                (sign * ca * cd, Mul(ta, td))
-                for ca, ta in anti
-                for cd, td in deriv
-            ]
-            deriv = _d_terms(deriv, var)
-            s += 1
-    else:
-        anti = [(Fraction(1), tree.right)]
-        deriv = [(Fraction(1), tree.left)]
-        s = 0
-        while deriv:
-            anti = _a_terms(anti, var, side)
-            sign = -1 if s % 2 else 1
-            out += [
-                (sign * cd * ca, Mul(td, ta))
-                for cd, td in deriv
-                for ca, ta in anti
-            ]
-            deriv = _d_terms(deriv, var)
-            s += 1
-    return out
-
-
-def _a_terms(terms: list, var: int, side: str) -> list:
-    out = []
-    for c, t in terms:
-        out += [(c * c2, t2) for c2, t2 in _a_tree(t, var, side)]
+    sign = 1
+    while deriv:
+        anti = _expand(anti, lambda t: _a_tree(t, var, side))
+        out += [(sign * ca * cd, Mul(ta, td) if left else Mul(td, ta))
+                for ca, ta in anti for cd, td in deriv]
+        deriv = _expand(deriv, lambda t: _d_tree(t, var))
+        sign = -sign
     return out
 
 
@@ -952,10 +902,7 @@ def derivative_at_one(phrase: Phrase, var: int = 1) -> Phrase:
     rejected); symbols of other variables ride along as constants.
     """
     _check_z_only(phrase, var, "derivative_at_one")
-    out = []
-    for w in phrase.words:
-        out += [(w.coeff * c, t) for c, t in _d_tree(w.tree, var)]
-    return Phrase(out)
+    return Phrase(_expand(_terms(phrase), lambda t: _d_tree(t, var)))
 
 
 def antiderive(phrase: Phrase, side: str = "left", var: int = 1) -> Phrase:
@@ -967,34 +914,22 @@ def antiderive(phrase: Phrase, side: str = "left", var: int = 1) -> Phrase:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _check_z_only(phrase, var, "antiderive")
-    out = []
-    for w in phrase.words:
-        out += [(w.coeff * c, t) for c, t in _a_tree(w.tree, var, side)]
-    return Phrase(out)
+    return Phrase(_expand(_terms(phrase), lambda t: _a_tree(t, var, side)))
 
 
-def _d_full_tree(tree, var: int) -> list:
-    """Full derivative: z^p -> sum_i z^i I z^{p-1-i}; Leibniz over products."""
-    if isinstance(tree, Mul):
-        out = [(c, Mul(t, tree.right)) for c, t in _d_full_tree(tree.left, var)]
-        out += [(c, Mul(tree.left, t)) for c, t in _d_full_tree(tree.right, var)]
-        return out
-    if isinstance(tree, ZPow) and tree.var == var:
-        terms = []
-        p = tree.p
-        for i in range(p):
-            mid = OneOp(var)
-            if i == 0 and p == 1:
-                node = mid
-            elif i == 0:
-                node = Mul(mid, ZPow(p - 1, var))
-            elif i == p - 1:
-                node = Mul(ZPow(i, var), mid)
-            else:
-                node = Mul(Mul(ZPow(i, var), mid), ZPow(p - 1 - i, var))
-            terms.append((Fraction(1), node))
-        return terms
-    return []
+def _full_d_leaf(leaf, var: int) -> list:
+    """Full derivative of one leaf: z^p -> sum_i z^i I z^{p-1-i}."""
+    if not (isinstance(leaf, ZPow) and leaf.var == var):
+        return []
+    terms = []
+    for i in range(leaf.p):
+        node = OneOp(var)
+        if i > 0:
+            node = Mul(ZPow(i, var), node)
+        if i < leaf.p - 1:
+            node = Mul(node, ZPow(leaf.p - 1 - i, var))
+        terms.append((Fraction(1), node))
+    return terms
 
 
 def hat_operator(phrase: Phrase, var: int = 1, side: str = "left") -> Phrase:
@@ -1004,7 +939,5 @@ def hat_operator(phrase: Phrase, var: int = 1, side: str = "left") -> Phrase:
     integral-sum kernel; with h = 1 it reproduces the input phrase values.
     """
     mu = antiderive(phrase, side, var)
-    out = []
-    for w in mu.words:
-        out += [(w.coeff * c, t) for c, t in _d_full_tree(w.tree, var)]
-    return Phrase(out)
+    return Phrase(_expand(_terms(mu),
+                          lambda t: _leibniz(t, lambda leaf: _full_d_leaf(leaf, var))))

@@ -700,7 +700,6 @@ class SuiteSpec:
     anchor: str
     description: str
     runner: object
-    aliases: tuple = ()
 
 
 SUITES = (
@@ -758,7 +757,7 @@ def list_suites():
 
 def resolve_suite(name: str) -> SuiteSpec:
     for s in SUITES:
-        if s.name == name or name in s.aliases:
+        if s.name == name:
             return s
     raise KeyError(f"unknown suite {name!r}")
 

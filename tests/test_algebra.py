@@ -22,6 +22,8 @@ from cdconf.algebra import (
     pow_real,
     proj,
     re,
+    real_array,
+    real_number,
 )
 from cdconf.errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
 
@@ -335,3 +337,16 @@ def test_bad_lengths_rejected():
     for n in (1, 2, 3, 5, 128):
         with pytest.raises(DimensionError):
             cd([0.0] * n)
+
+
+def test_real_array_takes_numbers_only():
+    # integers beyond int64 are numbers too (numpy stores them as objects)
+    assert real_array([10 ** 20, 0]).tolist() == [1e20, 0.0]
+    assert real_number(7) == 7.0
+    for bad in (["1", "2", "3", "4"], [None, 0, 0, 0], "0.7"):
+        with pytest.raises(TypeError):
+            real_array(bad)
+        with pytest.raises(TypeError):
+            CdNumber(bad)
+    with pytest.raises(TypeError):
+        real_number([0.7])

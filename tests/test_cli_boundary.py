@@ -52,6 +52,18 @@ UNIT_LOOP = {"a0": ZERO4, "M": [0, 1, 0, 0],
                      for k in range(16)] + [[1.0, 0.0]]}
 UNIT_LOOP["pts"][0] = [1.0, 0.0]
 SCHWARZ_POLE = {"op": "schwarz-extend", "word": [{"op": "inv"}], "level": 2, "z": ZERO4}
+STRING_LOOP = {**UNIT_LOOP, "pts": UNIT_LOOP["pts"][:3] + [["0.5", 0.5]] + UNIT_LOOP["pts"][4:]}
+MAXMOD = {"op": "maxmod", "map": {"kind": "phrase", "text": "z^2"}, "loop": UNIT_LOOP,
+          "disc": {"center": [0, 0], "radius": 0.9}}
+
+
+def roto_at(angle):
+    return {"op": "apply", "word": [{"op": "roto", "angles": [[2, 5, angle]]}], "z": POINT8}
+
+
+def sphere_image(**sphere):
+    return {"op": "map-sphere", "word": [{"op": "inv"}], "level": 2,
+            "sphere": {"E": 1.0, "J": ZERO4, "D": -1.0, **sphere}}
 
 
 def grid(**kw):
@@ -106,6 +118,23 @@ TABLE = [
     ("rho-16-coefficient-center", ["normal"],
      {"op": "rho", "maps": [[UNIT16, UNIT16, [0] * 16]] * 2,
       "grid": {"center": [0] * 16, "radius": 1.0, "resolution": 16}}, 1),
+    # a numeric string is not a number
+    ("norm-of-numeric-strings", ["eval"], {"op": "norm", "x": ["1", "2", "3", "4"]}, 2),
+    ("shift-by-numeric-strings", ["moebius"],
+     {"op": "apply", "word": [{"op": "shift", "c": ["1", "0", "0", "0"]}], "z": [1, 0, 0, 0]}, 2),
+    ("roto-string-angle", ["moebius"], roto_at("0.7"), 2),
+    ("roto-string-nan-angle", ["moebius"], roto_at("nan"), 2),
+    ("map-sphere-string-E", ["moebius"], sphere_image(E="1"), 2),
+    ("map-sphere-string-D", ["moebius"], sphere_image(D="-1"), 2),
+    ("winding-loop-string-point", ["contour"], {"op": "winding", "loop": STRING_LOOP, "a": ZERO4}, 2),
+    ("factor-string-matrix-entry", ["factor"],
+     {"level": 2, "matrix": [["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, 2),
+    # the sample budget
+    ("schwarz-10001-samples", ["domain"],
+     {"op": "schwarz", "map": FRAME_MAP, "samples": 10_001}, 2),
+    ("cartan-10001-samples", ["domain"],
+     {"op": "cartan", "map": {"kind": "ball-squared", "a": [0.2, 0.1, 0, 0]}, "samples": 10_001}, 2),
+    ("maxmod-10001-samples", ["contour"], {**MAXMOD, "samples": 10_001}, 2),
 ]
 
 

@@ -112,6 +112,22 @@ def test_syntax_error_position():
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("e^2", "'^' not allowed after 'e'", 3),
+    ("[0,-,0,0]", "expected a number after '-'", 5),
+])
+def test_syntax_error_message_and_position(text, message, position):
+    with pytest.raises(PhraseSyntaxError) as err:
+        ph.parse(text)
+    assert str(err.value) == f"{message} at position {position}"
+    assert err.value.position == position
+
+
+def test_markers_of_different_kinds_never_combine():
+    assert len(ph.parse("e + ec").words) == 2
+    assert ph.E(1) != ph.Ec(1)
+
+
 def test_render_roundtrip(rng):
     texts = [
         "[0,1,0,0] z^2 [0,0,1,0]",
@@ -334,6 +350,23 @@ def test_left_right_agree_single_group(rng):
     a, b = rand_cd(rng), rand_cd(rng)
     nu = ph.const(a) * ph.z(3) * ph.const(b)
     assert nu.antiderive("left") == nu.antiderive("right")
+
+
+def test_antiderive_canonical_text_on_both_sides():
+    nu = ph.parse("[0,1,0,0] z [0,0,1,0] z")
+    assert ph.antiderive(nu, "left").render() == (
+        "0.5 ((([0, 1, 0, 0] z^2) [0, 0, 1, 0]) z)"
+        " - 0.16666666666666666 ((([0, 1, 0, 0] z^3) [0, 0, 1, 0]) e)")
+    assert ph.antiderive(nu, "right").render() == (
+        "-0.16666666666666666 ((([0, 1, 0, 0] e) [0, 0, 1, 0]) z^3)"
+        " + 0.5 ((([0, 1, 0, 0] z) [0, 0, 1, 0]) z^2)")
+    assert ph.hat_operator(nu, side="right").render() == (
+        "0.5 ((([0, 1, 0, 0] I) [0, 0, 1, 0]) z^2)"
+        " - 0.16666666666666666 ((([0, 1, 0, 0] e) [0, 0, 1, 0]) ((z I) z))"
+        " - 0.16666666666666666 ((([0, 1, 0, 0] e) [0, 0, 1, 0]) (I z^2))"
+        " - 0.16666666666666666 ((([0, 1, 0, 0] e) [0, 0, 1, 0]) (z^2 I))"
+        " + 0.5 ((([0, 1, 0, 0] z) [0, 0, 1, 0]) (I z))"
+        " + 0.5 ((([0, 1, 0, 0] z) [0, 0, 1, 0]) (z I))")
 
 
 def test_antiderive_rejects_constant_words():
