@@ -71,7 +71,7 @@ from .moebius import (
     symmetric_point,
 )
 from .normal import AffineMap, CompactGrid, classify_sequence, rho
-from .suites import list_suites, run_suite
+from .suites import ball_points, list_suites, run_suite
 
 __all__ = ["run", "main"]
 
@@ -255,15 +255,6 @@ def _cmd_moebius(payload, rng, tol):
     raise SchemaError(f"unknown moebius op {op!r}")
 
 
-def _ball_samples(rng, level, count, scale=0.4):
-    out = []
-    while len(out) < count:
-        v = cd(rng.normal(size=1 << level) * scale)
-        if v.norm() < 0.95:
-            out.append(v)
-    return out
-
-
 def _ball_squared(spec):
     """z -> S_a(S_a(z)) for the ball involution S_a, and the level of a."""
     phi = BallAutomorphism(_cd(spec, "a"))
@@ -295,7 +286,7 @@ def _cmd_domain(payload, rng, tol):
             f, level = _ball_squared(spec)
         else:
             raise SchemaError(f"unknown schwarz map kind {kind!r}")
-        samples = _ball_samples(rng, level, _samples(payload, 100))
+        samples = ball_points(rng, level, _samples(payload, 100), 0.4, 0.95)
         res = schwarz_check(f, HomogeneousNorm(_need(payload, "norm_in", str, "euclidean")),
                             HomogeneousNorm(_need(payload, "norm_out", str, "euclidean")),
                             samples, tol or 1e-9)
@@ -305,7 +296,7 @@ def _cmd_domain(payload, rng, tol):
         if _need(spec, "kind", str) != "ball-squared":
             raise SchemaError("cartan map kind must be 'ball-squared'")
         f, level = _ball_squared(spec)
-        samples = _ball_samples(rng, level, _samples(payload, 100))
+        samples = ball_points(rng, level, _samples(payload, 100), 0.4, 0.95)
         res = cartan_check(f, CdNumber.zero(level), samples, tol or 1e-8)
         return {"is_identity": res.is_identity, "max_deviation": res.max_deviation}
     raise SchemaError(f"unknown domain op {op!r}")

@@ -181,6 +181,8 @@ class PolydiscAutomorphism:
                 if (ms[2] - CdNumber.one(2)).norm() > 0 or (ms[3] - CdNumber.one(2)).norm() > 0:
                     raise DomainError("over H the outer multipliers are fixed to 1")
         sigma = tuple(sigma) if sigma is not None else tuple(range(len(b)))
+        if not all(isinstance(j, (int, np.integer)) for j in sigma):
+            raise TypeError(f"sigma {sigma!r} must hold integers")
         if sorted(sigma) != list(range(len(b))):
             raise DomainError("sigma must be a permutation")
         object.__setattr__(self, "b", b)

@@ -24,7 +24,8 @@ from .calculus import (
     left_mul_matrix,
     right_mul_matrix,
 )
-from .contour import PlanarLoop, count_zeros, disc_samples, line_integral, max_principle_check, rouche_equal
+from .contour import (PlanarLoop, PlanarPath, count_zeros, disc_samples, line_integral,
+                      max_principle_check, rouche_equal)
 from .domains import (
     BallAutomorphism,
     HomogeneousNorm,
@@ -53,7 +54,11 @@ from .moebius import (
 )
 from .normal import AffineMap, CompactGrid, classify_sequence
 
-__all__ = ["SUITES", "SuiteCase", "SuiteReport", "run_suite", "list_suites", "resolve_suite"]
+__all__ = ["SUITES", "SuiteCase", "SuiteReport", "run_suite", "list_suites", "resolve_suite",
+           "sample", "ball_points"]
+
+# Attempts allowed per requested sample before `sample` gives up.
+ATTEMPTS_PER_SAMPLE = 50
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,34 @@ def rand_imag_unit(rng, level):
     v = rng.normal(size=1 << level)
     v[0] = 0.0
     return cd(v / np.linalg.norm(v))
+
+
+def sample(n, attempt):
+    """The first n results of attempt(k) that are not None, in draw order.
+
+    k is the number accepted so far.  Exceptions from `attempt` propagate;
+    after ATTEMPTS_PER_SAMPLE * n attempts without n acceptances the draw
+    fails with CdconfError naming the accepted and attempted counts.
+    """
+    accepted = []
+    for _ in range(ATTEMPTS_PER_SAMPLE * n):
+        if len(accepted) == n:
+            break
+        value = attempt(len(accepted))
+        if value is not None:
+            accepted.append(value)
+    if len(accepted) < n:
+        raise CdconfError(f"accepted {len(accepted)} of {n} samples "
+                          f"in {ATTEMPTS_PER_SAMPLE * n} attempts")
+    return accepted
+
+
+def ball_points(rng, level, n, scale, bound):
+    """n draws of rand_cd(rng, level, scale) with norm below `bound`."""
+    def attempt(_):
+        v = rand_cd(rng, level, scale)
+        return v if v.norm() < bound else None
+    return sample(n, attempt)
 
 
 def random_word(rng, level=2, n_gens=4, shift_scale=1.0):
@@ -276,45 +309,39 @@ def _suite_factorization(rng, n_quat=1000, n_oct=100):
 
 
 def _sample_word_point(rng, level, n_gens=3):
-    for _ in range(200):
+    def attempt(_):
         w = random_word(rng, level, n_gens)
         z = rand_cd(rng, level)
-        if word_safe_at(w, z, low=0.15, high=20.0):
-            return w, z
-    raise CdconfError("could not sample a pole-free word/point pair")
+        return (w, z) if word_safe_at(w, z, low=0.15, high=20.0) else None
+    return sample(1, attempt)[0]
 
 
 def _suite_closure(rng, n=200):
-    worst_comp = 0.0
-    worst_inv = 0.0
     level_cycle = [2, 2, 3]
-    done = 0
-    while done < n:
-        level = level_cycle[done % len(level_cycle)]
+
+    def attempt(k):
+        level = level_cycle[k % len(level_cycle)]
         try:
             f, z = _sample_word_point(rng, level)
             g, _ = _sample_word_point(rng, level)
         except CdconfError:
-            continue
+            return None
         fz = apply_word(f, z)
         if fz is INF or not word_safe_at(g, fz, low=0.15, high=20.0):
-            continue
+            return None
         vf = is_pseudoconformal_at(f, z, tol=1e-3)
         vg = is_pseudoconformal_at(g, fz, tol=1e-3)
         vc = is_pseudoconformal_at(compose(f, g), z, tol=1e-3)
         if not (vf.ok and vg.ok and vc.ok):
-            worst_comp = math.inf
-            break
-        worst_comp = max(worst_comp, abs(vc.lam - vf.lam * vg.lam) / (vf.lam * vg.lam))
+            return math.inf, 0.0
         vi = is_pseudoconformal_at(inverse(f), fz, tol=1e-3)
-        if not vi.ok:
-            worst_inv = math.inf
-            break
-        worst_inv = max(worst_inv, abs(vi.lam - 1.0 / vf.lam) * vf.lam)
-        done += 1
+        return (abs(vc.lam - vf.lam * vg.lam) / (vf.lam * vg.lam),
+                abs(vi.lam - 1.0 / vf.lam) * vf.lam if vi.ok else math.inf)
+
+    comps, invs = zip(*sample(n, attempt))
     return [
-        _case("thm6-composition-dilation", worst_comp, 1e-6),
-        _case("thm6-inverse-dilation", worst_inv, 1e-6),
+        _case("thm6-composition-dilation", max(0.0, *comps), 1e-6),
+        _case("thm6-inverse-dilation", max(0.0, *invs), 1e-6),
     ]
 
 
@@ -322,7 +349,6 @@ def _suite_antiderive(rng, n=200):
     worst_loop = 0.0
     worst_open = 0.0
     exact = True
-    i1 = CdNumber.basis(1, 2)
     for k in range(n):
         level = 2 if k % 3 else 3
         nu = random_phrase(rng, level=level)
@@ -336,8 +362,6 @@ def _suite_antiderive(rng, n=200):
                                  radius=rng.uniform(0.5, 1.2), n=32)
         val = line_integral(nu, loop, refine=1e-11, side=side)
         worst_loop = max(worst_loop, val.norm())
-        from .contour import PlanarPath
-
         seg = PlanarPath.segment(a0, m, (rng.uniform(-1, 0), rng.uniform(-1, 0)),
                                  (rng.uniform(0, 1), rng.uniform(0, 1)), n=16)
         val = line_integral(nu, seg, refine=1e-11, side=side)
@@ -352,9 +376,7 @@ def _suite_antiderive(rng, n=200):
 
 
 def _suite_argument_principle(rng, n=50):
-    count_ok = True
-    rouche_ok = True
-    for k in range(n):
+    def attempt(k):
         level = 2 if k % 2 else 3
         m = rand_imag_unit(rng, level)
         a0 = CdNumber.zero(level)
@@ -365,31 +387,29 @@ def _suite_argument_principle(rng, n=50):
         c_ = rand_cd(rng, level)
         d_ = rand_cd(rng, level)
         if c_.norm() < 0.1 or d_.norm() < 0.1:
-            continue
+            return None
         order = 1 + (k % 2)
         if order == 1:
-            f = lambda z, c_=c_, za=za, d_=d_: mul(mul(c_, z - za), d_)
+            f = lambda z: mul(mul(c_, z - za), d_)
         else:
-            f = lambda z, za=za: mul(z - za, z - za)
-        if count_zeros(f, loop) != order:
-            count_ok = False
-        fout = lambda z, c_=c_, outside=outside, d_=d_: mul(mul(c_, z - outside), d_)
-        if count_zeros(fout, loop) != 0:
-            count_ok = False
+            f = lambda z: mul(z - za, z - za)
+        fout = lambda z: mul(mul(c_, z - outside), d_)
+        counts = count_zeros(f, loop), count_zeros(fout, loop)
         # Rouche: a uniformly small perturbation cannot change the count
         if k % 2:
-            g = lambda z, za=za: mul(z - za, z - za)
+            g = lambda z: mul(z - za, z - za)
             expected = 2
         else:
-            g = lambda z, za=za: z - za
+            g = lambda z: z - za
             expected = 1
-        small = lambda z, level=level: CdNumber.real(0.05, level)
+        small = lambda z: CdNumber.real(0.05, level)
         res = rouche_equal(small, g, loop)
-        if not res.holds or res.n_g != expected:
-            rouche_ok = False
+        return counts == (order, 0), res.holds and res.n_g == expected
+
+    counts_ok, rouches_ok = zip(*sample(n, attempt))
     return [
-        _case("thm23-zero-counts", 0.0 if count_ok else 1.0, 0.5),
-        _case("thm24-rouche", 0.0 if rouche_ok else 1.0, 0.5),
+        _case("thm23-zero-counts", 0.0 if all(counts_ok) else 1.0, 0.5),
+        _case("thm24-rouche", 0.0 if all(rouches_ok) else 1.0, 0.5),
     ]
 
 
@@ -440,16 +460,14 @@ def _random_plane_word(rng, level, m, n_gens=4):
 
 
 def _suite_max_principle(rng, n=50):
-    worst = -math.inf
-    done = 0
-    while done < n:
-        level = 2 if done % 2 else 3
+    def attempt(k):
+        level = 2 if k % 2 else 3
         m = rand_imag_unit(rng, level)
         w = _random_plane_word(rng, level, m)
         a0 = CdNumber.real(rng.normal() * 0.3, level) + m * (rng.normal() * 0.3)
         radius = rng.uniform(0.4, 1.0)
         if _disc_pole_distance(w, a0, m, radius) < 0.2:
-            continue
+            return None
         # boundary sampled densely; interior samples stay strictly inside so
         # the discrete boundary supremum dominates the continuum gap
         loop = PlanarLoop.circle(a0, m, radius=radius, n=256)
@@ -457,17 +475,15 @@ def _suite_max_principle(rng, n=50):
             samples = disc_samples((0.0, 0.0), 0.97 * radius, 1000, rng, a0=a0, m=m)
             res = max_principle_check(w, loop, samples, tol=1e-9)
         except CdconfError:
-            continue
-        worst = max(worst, res.sup_interior - res.sup_boundary)
-        done += 1
-    return [_case("thm28-interior-vs-boundary", worst, 1e-9)]
+            return None
+        return res.sup_interior - res.sup_boundary
+
+    return [_case("thm28-interior-vs-boundary", max(-math.inf, *sample(n, attempt)), 1e-9)]
 
 
 def _suite_hypersphere(rng, n=1000, samples_per=16):
-    worst = 0.0
-    done = 0
-    while done < n:
-        level = 2 if done % 2 else 3
+    def attempt(k):
+        level = 2 if k % 2 else 3
         w = random_word(rng, level, n_gens=int(rng.integers(2, 6)))
         if rng.random() < 0.7:
             s = Hypersphere.from_center_radius(rand_cd(rng, level), rng.uniform(0.3, 2.0))
@@ -477,45 +493,42 @@ def _suite_hypersphere(rng, n=1000, samples_per=16):
         try:
             img = map_hypersphere(w, s)
         except CdconfError:
-            continue
+            return None
         pts = s.sample(samples_per, rng)
         vals = w.apply_many(pts)
         if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e8:
-            continue
-        worst = max(worst, sphere_residual(img, vals))
-        done += 1
-    return [_case("thm33-image-sphere-residual", worst, 1e-9)]
+            return None
+        return sphere_residual(img, vals)
+
+    return [_case("thm33-image-sphere-residual", max(0.0, *sample(n, attempt)), 1e-9)]
 
 
 def _suite_symmetry(rng, n=1000):
-    worst = 0.0
-    done = 0
-    while done < n:
-        level = 2 if done % 2 else 3
+    def attempt(k):
+        level = 2 if k % 2 else 3
         w = random_word(rng, level, n_gens=int(rng.integers(2, 5)))
         s = Hypersphere.from_center_radius(rand_cd(rng, level), rng.uniform(0.4, 2.0))
         z1 = rand_cd(rng, level)
         if (z1 - s.center()).norm() < 0.05:
-            continue
+            return None
         z2 = symmetric_point(z1, s)
         if z2 is INF:
-            continue
+            return None
         try:
             img = map_hypersphere(w, s)
         except CdconfError:
-            continue
+            return None
         if img.is_plane() or abs(img.e) < 1e-6:
-            continue  # symmetric points need a proper image sphere
+            return None  # symmetric points need a proper image sphere
         w1, w2 = apply_word(w, z1), apply_word(w, z2)
         if w1 is INF or w2 is INF or w1.norm() > 1e4 or w2.norm() > 1e4:
-            continue
+            return None
         lhs = symmetric_point(w1, img)
         if lhs is INF:
-            continue
-        scale = 1.0 + lhs.norm() + w2.norm()
-        worst = max(worst, (lhs - w2).norm() / scale)
-        done += 1
-    return [_case("thm35-symmetry-square", worst, 1e-8)]
+            return None
+        return (lhs - w2).norm() / (1.0 + lhs.norm() + w2.norm())
+
+    return [_case("thm35-symmetry-square", max(0.0, *sample(n, attempt)), 1e-8)]
 
 
 def _suite_ball(rng, n=1000):
@@ -524,14 +537,10 @@ def _suite_ball(rng, n=1000):
     worst_mod = 0.0
     for k in range(n):
         level = 2 if k % 2 else 3
-        a = rand_cd(rng, level, 0.4)
-        while a.norm() >= 0.95:
-            a = rand_cd(rng, level, 0.4)
+        a = ball_points(rng, level, 1, 0.4, 0.95)[0]
         s = BallAutomorphism((a,))
         worst_zero = max(worst_zero, ball_apply(s, a).norm())
-        v = rand_cd(rng, level, 0.4)
-        if v.norm() >= 0.98:
-            continue
+        v = ball_points(rng, level, 1, 0.4, 0.98)[0]
         w = ball_apply(s, v)
         worst_mod = max(worst_mod, w.norm() - 1.0)
         worst_inv = max(worst_inv, (ball_apply(s, w) - v).norm())
@@ -543,50 +552,41 @@ def _suite_ball(rng, n=1000):
 
 
 def _suite_cayley(rng, n=1000):
-    worst_rt = 0.0
-    worst_id = 0.0
-    done = 0
-    while done < n:
-        level = 2 if done % 2 else 3
+    def attempt(k):
+        level = 2 if k % 2 else 3
         m = rand_imag_unit(rng, level)
         z = rand_cd(rng, level)
         t = halfspace_coordinate(z, m)
         if t <= 0:
             z = z - m * (2.0 * t)
         if halfspace_coordinate(z, m) < 1e-3:
-            continue
+            return None
         w = cayley_to_ball(z, m)
         if w is INF:
-            continue
+            return None
         back = ball_to_halfspace(w, m)
         if back is INF:
-            continue
-        worst_rt = max(worst_rt, (back - z).norm() / (1.0 + z.norm()))
+            return None
         lhs = 1.0 - w.norm2()
         zm = mul(z, m)
         rhs = mul(mul(inv(z + m) * (-4.0), CdNumber.real(zm.re, level)),
                   inv(z.conj() - m))
-        worst_id = max(worst_id, abs(lhs - rhs.re) + rhs.imag().norm())
-        done += 1
+        return (back - z).norm() / (1.0 + z.norm()), abs(lhs - rhs.re) + rhs.imag().norm()
+
+    roundtrips, identities = zip(*sample(n, attempt))
     return [
-        _case("sec32-roundtrip", worst_rt, 1e-10),
-        _case("sec32-positivity-identity", worst_id, 1e-10),
+        _case("sec32-roundtrip", max(0.0, *roundtrips), 1e-10),
+        _case("sec32-positivity-identity", max(0.0, *identities), 1e-10),
     ]
 
 
 def _suite_cartan(rng, n_samples=500):
     worst = 0.0
     for level in (2, 3):
-        a = rand_cd(rng, level, 0.3)
-        while a.norm() >= 0.9:
-            a = rand_cd(rng, level, 0.3)
+        a = ball_points(rng, level, 1, 0.3, 0.9)[0]
         s = BallAutomorphism((a,))
         f = lambda z, s=s: ball_apply(s, ball_apply(s, z))
-        samples = []
-        while len(samples) < n_samples // 2:
-            v = rand_cd(rng, level, 0.4)
-            if v.norm() < 0.95:
-                samples.append(v)
+        samples = ball_points(rng, level, n_samples // 2, 0.4, 0.95)
         res = cartan_check(f, CdNumber.zero(level), samples, tol=1e-8)
         if not res.is_identity:
             return [_case("thm30-identity-certified", math.inf, 1e-8)]
@@ -607,9 +607,7 @@ def _suite_schwarz(rng, n=500):
             norm_in, norm_out = (euclid, euclid) if k % 2 else (maxn, maxn)
         else:
             # S_w o g with g = S_a o frame and w = g(0): fixes the origin
-            a = rand_cd(rng, level, 0.3)
-            while a.norm() >= 0.9:
-                a = rand_cd(rng, level, 0.3)
+            a = ball_points(rng, level, 1, 0.3, 0.9)[0]
             u, v = rand_unit(rng, level), rand_unit(rng, level)
             sa = BallAutomorphism((a,))
             g = lambda z, u=u, v=v, sa=sa: ball_apply(sa, mul(mul(u, z), v))
@@ -617,11 +615,7 @@ def _suite_schwarz(rng, n=500):
             sw = BallAutomorphism((w0,))
             f = lambda z, g=g, sw=sw: ball_apply(sw, g(z))
             norm_in = norm_out = euclid
-        samples = []
-        while len(samples) < 40:
-            zv = rand_cd(rng, level, 0.4)
-            if zv.norm() < 0.97:
-                samples.append(zv)
+        samples = ball_points(rng, level, 40, 0.4, 0.97)
         res = schwarz_check(f, norm_in, norm_out, samples, tol=1e-9)
         if not res.holds:
             return [_case("thm36-norm-shrinking", math.inf, 1e-9)]

@@ -57,6 +57,11 @@ MAXMOD = {"op": "maxmod", "map": {"kind": "phrase", "text": "z^2"}, "loop": UNIT
           "disc": {"center": [0, 0], "radius": 0.9}}
 
 
+def polydisc_sigma(sigma):
+    return {"op": "polydisc", "b": [0.2, 0, 0, 0], "multipliers": [[[1, 0, 0, 0]] * 4],
+            "z": [0.1, 0.3, 0, 0], "sigma": sigma}
+
+
 def roto_at(angle):
     return {"op": "apply", "word": [{"op": "roto", "angles": [[2, 5, angle]]}], "z": POINT8}
 
@@ -135,6 +140,15 @@ TABLE = [
     ("cartan-10001-samples", ["domain"],
      {"op": "cartan", "map": {"kind": "ball-squared", "a": [0.2, 0.1, 0, 0]}, "samples": 10_001}, 2),
     ("maxmod-10001-samples", ["contour"], {**MAXMOD, "samples": 10_001}, 2),
+    # polydisc permutations hold integers
+    ("polydisc-sigma-string", ["domain"], polydisc_sigma("0"), 2),
+    ("polydisc-sigma-string-entry", ["domain"], polydisc_sigma(["0"]), 2),
+    ("polydisc-sigma-float-entry", ["domain"], polydisc_sigma([0.0]), 2),
+    # almost no draw lands in the ball at 32 or 64 coefficients: the sampler gives up
+    ("schwarz-frame-32-coefficients", ["domain"],
+     {"op": "schwarz", "map": {"kind": "frame", "u": [1] + [0] * 31, "v": [1] + [0] * 31}}, 1),
+    ("cartan-ball-squared-64-coefficients", ["domain"],
+     {"op": "cartan", "map": {"kind": "ball-squared", "a": [0.2, 0.1] + [0] * 62}}, 1),
 ]
 
 
