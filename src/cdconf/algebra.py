@@ -5,8 +5,10 @@ levels (sedenions and up) keep the ring and conjugation laws but lose the
 division property, so only r = 2, 3 are used by the analytic modules.
 
 Elements are stored as flat coefficient vectors over the standard
-generators i_0 = 1, i_1, ..., i_{2^r-1}.  Multiplication is driven by a
-sign/index table built once per level from the doubling rule
+generators i_0 = 1, i_1, ..., i_{2^r-1}.  Generators multiply by the XOR
+rule i_i i_j = +-i_{i^j}, so coefficient k of a product is the signed sum
+of x_i y_{i^k} over i: dim terms, not dim^2.  The signs come from the
+doubling rule
 
     (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c))
 
@@ -40,7 +42,6 @@ __all__ = [
     "ln_branch",
     "pow_real",
     "polar",
-    "mul_table",
     "mul_coeffs",
     "conj_coeffs",
     "basis_product",
@@ -82,25 +83,29 @@ def basis_product(dim: int, i: int, j: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def mul_table(dim: int) -> np.ndarray:
-    """Dense (dim, dim, dim) tensor T with (x*y)_k = sum_ij T[i,j,k] x_i y_j."""
-    table = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            k, s = basis_product(dim, i, j)
-            table[i, j, k] = s
-    return table
+def _xor_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, index) with i_i i_{index[i,k]} = signs[i,k] i_k, index[i,k] = i^k."""
+    index = np.arange(dim)[:, None] ^ np.arange(dim)
+    signs = np.empty((dim, dim))
+    for i, k in np.ndindex(dim, dim):
+        signs[i, k] = basis_product(dim, i, i ^ k)[1]
+    signs.flags.writeable = index.flags.writeable = False  # shared by every caller
+    return signs, index
 
 
 def mul_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Multiply coefficient arrays; leading axes broadcast."""
+    """Multiply coefficient arrays; leading axes broadcast.
+
+    (x y)_k = sum_i x_i y_{i^k} signs[i,k]: one gather of y, one einsum.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != y.shape[-1]:
         raise DimensionError(
             f"cannot multiply elements of dimension {x.shape[-1]} and {y.shape[-1]}"
         )
-    return np.einsum("ijk,...i,...j->...k", mul_table(x.shape[-1]), x, y)
+    signs, index = _xor_rule(x.shape[-1])
+    return np.einsum("...i,...ik,ik->...k", x, y.take(index, axis=-1), signs)
 
 
 def conj_coeffs(x: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .algebra import CdNumber, inv, ln_principal, mul, real_array
 from .calculus import finite_value
 from .errors import (
     BoundaryZeroError,
+    CdconfError,
     DegenerateLoopError,
     DomainError,
     EvaluationError,
@@ -306,7 +307,7 @@ def _image_direction(f, loop: PlanarLoop) -> CdNumber:
         try:
             e1 = (f(z0 + CdNumber.real(step, lvl)) - f(z0 - CdNumber.real(step, lvl))) * (0.5 / step)
             e2 = (f(z0 + loop.m * step) - f(z0 - loop.m * step)) * (0.5 / step)
-        except Exception:
+        except (CdconfError, ArithmeticError):
             continue
         if e1.norm() < 1e-12 or e2.norm() < 1e-12:
             continue

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cdconf.algebra import (
     ALGEBRA_TOL,
     CdNumber,
     PolarForm,
+    basis_product,
     cd,
     conj,
     exp,
@@ -16,7 +18,7 @@ from cdconf.algebra import (
     ln_branch,
     ln_principal,
     mul,
-    mul_table,
+    mul_coeffs,
     norm,
     polar,
     pow_real,
@@ -49,6 +51,22 @@ def pair_double_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     lo = pair_double_mul(a, c) - pair_double_mul(cj(d), b)
     hi = pair_double_mul(d, a) + pair_double_mul(b, cj(c))
     return np.concatenate([lo, hi])
+
+
+@lru_cache(maxsize=None)
+def dense_table(dim: int) -> np.ndarray:
+    """(dim, dim, dim) tensor T with (x*y)_k = sum_ij T[i,j,k] x_i y_j."""
+    table = np.zeros((dim, dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            k, s = basis_product(dim, i, j)
+            table[i, j, k] = s
+    return table
+
+
+def dense_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product as a dense einsum over dense_table."""
+    return np.einsum("ijk,...i,...j->...k", dense_table(x.shape[-1]), x, y)
 
 
 def series_exp(x: CdNumber, terms: int = 200) -> CdNumber:
@@ -137,6 +155,62 @@ def test_octonion_table_vs_pair_formulas(rng):
         got = mul(mul(al, z), bv).coeffs
         want = emb(-mul(mul(conj(zl), a), b), mul(mul(a, conj(z0)), conj(b)))
         assert np.allclose(got, want, atol=1e-11)
+
+
+def test_generator_products_follow_the_xor_rule():
+    for level in range(1, 7):
+        dim = 1 << level
+        for i in range(dim):
+            for j in range(dim):
+                assert basis_product(dim, i, j)[0] == i ^ j
+
+
+def _coefficients(rng, shape, exponent):
+    """Normal draws scaled by 10^e, e drawn per entry from [-exponent, exponent]."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-exponent, exponent + 1, size=shape)
+
+
+def _layout(arr, how):
+    if how == "fortran":
+        return np.asfortranarray(arr)
+    if how == "strided":  # every other entry of a wider buffer
+        wide = np.zeros(arr.shape[:-1] + (2 * arr.shape[-1],))
+        wide[..., ::2] = arr
+        return wide[..., ::2]
+    if how == "sliced" and arr.ndim > 1:  # every other row of a taller buffer
+        return np.repeat(arr, 2, axis=0)[::2]
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(level=st.integers(1, 6), n_a=st.integers(1, 3), n_b=st.integers(1, 4),
+       lead_x=st.sampled_from(["()", "(n,)", "(a, b)"]), lead_y=st.sampled_from(["(b,)", "(1,)"]),
+       swap=st.booleans(), layouts=st.tuples(*[st.sampled_from(["c", "fortran", "strided", "sliced"])] * 2),
+       exponent=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_mul_coeffs_equals_the_dense_oracle_bit_for_bit(level, n_a, n_b, lead_x, lead_y, swap,
+                                                        layouts, exponent, seed):
+    dim = 1 << level
+    shape_x = {"()": (), "(n,)": (n_b,), "(a, b)": (n_a, n_b)}[lead_x] + (dim,)
+    shape_y = {"(b,)": (n_b,), "(1,)": (1,)}[lead_y] + (dim,)
+    if swap:
+        shape_x, shape_y = shape_y, shape_x
+    rng = np.random.default_rng(seed)
+    x = _layout(_coefficients(rng, shape_x, exponent), layouts[0])
+    y = _layout(_coefficients(rng, shape_y, exponent), layouts[1])
+    got, want = mul_coeffs(x, y), dense_mul(x, y)
+    assert got.shape == want.shape == np.broadcast_shapes(shape_x, shape_y)
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_non_finite_products_stay_non_finite():
+    # an inf or NaN input, or an overflow, may leave some coefficients
+    # finite; one that is not is what makes the CLI refuse the result
+    cases = [([math.inf, 1, 0, 0], [1, 0, 1, 0]),
+             ([1, 0, 0, 0], [0, -math.inf, 0, 0]),
+             ([math.nan, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0]),
+             ([1e200, 1, 0, 0], [1e200, 0, 1, 0])]
+    for x, y in cases:
+        assert not np.all(np.isfinite(mul_coeffs(np.array(x, float), np.array(y, float))))
 
 
 def test_mul_level_mismatch():

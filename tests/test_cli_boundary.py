@@ -118,6 +118,8 @@ TABLE = [
     ("schwarz-extend-pole", ["moebius"], SCHWARZ_POLE, 0),
     ("mul-overflows-to-infinity", ["eval"],
      {"op": "mul", "x": [1e200, 0, 0, 0], "y": [1e200, 0, 0, 0]}, 1),
+    ("mul-overflows-in-one-coefficient", ["eval"],
+     {"op": "mul", "x": [1e200, 1, 0, 0], "y": [1e200, 0, 1, 0]}, 1),
     ("exp-overflow", ["eval"], {"op": "exp", "x": [1000, 0, 0, 0]}, 1),
     ("rho-negative-radius", ["normal"], {"op": "rho", "maps": TWO_MAPS, "grid": grid(radius=-1)}, 1),
     ("rho-16-coefficient-center", ["normal"],
@@ -182,6 +184,14 @@ def test_library_index_error_keeps_exit_1():
     code, doc, _ = invoke(["eval"], json.dumps({"op": "proj", "x": [1, 2, 3, 4], "j": 7}))
     assert code == 1
     assert doc["error"]["type"] == "IndexRangeError"
+
+
+def test_a_product_that_overflows_is_not_finite():
+    # only the real coefficient overflows; the others stay finite
+    payload = {"op": "mul", "x": [1e200, 1, 0, 0], "y": [1e200, 0, 1, 0]}
+    code, doc, _ = invoke(["eval"], json.dumps(payload))
+    assert (code, doc) == (1, {"error": {"message": "the result is not finite",
+                                         "type": "EvaluationError"}})
 
 
 def test_argument_errors_are_schema_errors():

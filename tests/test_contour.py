@@ -228,6 +228,19 @@ def test_count_octonion_plane():
     assert count_zeros(f, loop) == 2
 
 
+def test_count_lets_a_map_type_error_through(unit_loop):
+    # the map is defined on the loop only, so it fails first at a frame
+    # point of the orientation step; the failure is the map's, not a
+    # degenerate frame
+    def on_loop_only(z):
+        if abs(z.norm() - 1.0) > 1e-9:
+            raise TypeError("off the loop")
+        return z
+
+    with pytest.raises(TypeError, match="off the loop"):
+        count_zeros(on_loop_only, unit_loop)
+
+
 def test_moebius_word_winding_matches_prediction(rng):
     # in-plane words restricted to C_M act as complex Moebius maps whose
     # zero/pole positions are tracked by a complex oracle
