@@ -100,22 +100,54 @@ def finite_value(f, z: CdNumber, what: str) -> CdNumber:
     return w
 
 
+def batched_values(f, pts: np.ndarray):
+    """f.apply_many(pts) when f has it and every value is finite, else None:
+    the per-point path then handles the point at infinity exactly and raises
+    the per-point error (a DimensionError too) at the first bad point."""
+    many = getattr(f, "apply_many", None)
+    if many is None:
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            out = many(pts)
+    except DimensionError:
+        return None
+    return out if np.all(np.isfinite(out)) else None
+
+
+def central_stencil(pts: np.ndarray, step: float) -> np.ndarray:
+    """The (2, ..., dim, dim) points pts + step e_k and pts - step e_k
+    around each (..., dim) point; axis -2 is k."""
+    shift = np.eye(pts.shape[-1]) * step
+    x = pts[..., None, :]
+    return np.stack([x + shift, x - shift])
+
+
+def central_differences(samples: np.ndarray, step: float) -> np.ndarray:
+    """(..., dim, dim) Jacobians from a map's values on central_stencil:
+    column k is (f(x + step e_k) - f(x - step e_k)) / (2 step)."""
+    return np.ascontiguousarray(np.swapaxes((samples[0] - samples[1]) / (2.0 * step), -1, -2))
+
+
 def jacobian(f, z: CdNumber, step: float = DEFAULT_STEP) -> RealJacobian:
     """Second-order central-difference Jacobian of f at z.
 
-    f must be defined on a ball of radius 2*step around z; a non-finite
-    sample raises EvaluationError carrying the offending point.
+    A map with `apply_many` is sampled on all 2 dim stencil points in one
+    call.  f must be defined on a ball of radius 2*step around z; a
+    non-finite sample raises EvaluationError carrying the offending point.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    dim = z.dim
-    cols = np.empty((dim, dim))
-    for k in range(dim):
-        e = CdNumber.basis(k, z.level) * step
-        plus = finite_value(f, z + e, "non-finite sample in jacobian")
-        minus = finite_value(f, z - e, "non-finite sample in jacobian")
-        cols[:, k] = (plus.coeffs - minus.coeffs) / (2.0 * step)
-    return RealJacobian(z.level, cols, step=step, method="central-2")
+    pts = central_stencil(z.coeffs, step)
+    samples = batched_values(f, pts)
+    if samples is None:
+        samples = np.empty_like(pts)
+        for k in range(z.dim):
+            for side in (0, 1):
+                samples[side, k] = finite_value(f, CdNumber(pts[side, k]),
+                                                "non-finite sample in jacobian").coeffs
+    return RealJacobian(z.level, central_differences(samples, step), step=step,
+                        method="central-2")
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,29 @@ the Jacobian difference realizes the inner maximum over unit directions
 exactly.  classify_sequence applies the metric at a fixed finite
 resolution: its verdicts are evidence at that resolution, not proofs
 (finite grids cannot certify a limit).
+
+A map is any callable on CdNumber, evaluated node by node.  It opts into
+one evaluation on the (N, 2^r) node array with `apply_many` (MoebiusWord,
+AffineMap), its Jacobians then coming from `jacobian_at` at every node or
+from central differences on one (2, N, 2^r, 2^r) stencil; setting
+`constant_jacobian` too (AffineMap) has `jacobian_at` evaluated once.
+`jacobian_at` alone never means constant.  A batch that is not finite is
+recomputed node by node, so errors name the node the per-point path names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import CdNumber
-from .calculus import (DEFAULT_STEP, RealJacobian, finite_value, jacobian, left_mul_matrix,
+from .algebra import CdNumber, mul, mul_coeffs
+from .calculus import (DEFAULT_STEP, RealJacobian, batched_values, central_differences,
+                       central_stencil, finite_value, jacobian, left_mul_matrix,
                        right_mul_matrix)
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "CompactGrid",
@@ -56,6 +66,7 @@ class CompactGrid:
         if self.resolution < 1:
             raise DomainError(f"grid resolution must be at least 1, got {self.resolution}")
 
+    @cached_property
     def _per_axis(self) -> int:
         if self.per_axis is not None:
             return self.per_axis
@@ -73,13 +84,19 @@ class CompactGrid:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         return mesh[np.linalg.norm(mesh, axis=1) <= self.radius + 1e-12]
 
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        nodes = self.center.coeffs + self._lattice(self._per_axis)
+        nodes.flags.writeable = False  # shared by every caller
+        return nodes
+
     def nodes(self) -> np.ndarray:
-        return self.center.coeffs + self._lattice(self._per_axis())
+        """The (N, 2^r) lattice points in the ball, built once per grid (read-only)."""
+        return self._nodes
 
     def refined(self) -> "CompactGrid":
-        p = self._per_axis()
         return CompactGrid(self.center, self.radius, self.resolution,
-                           self.step, 2 * p - 1)
+                           self.step, 2 * self._per_axis - 1)
 
     def to_json(self):
         return {
@@ -101,20 +118,25 @@ class RhoValue:
 class AffineMap:
     """z -> (a z) b + c with exact constant Jacobian L_a R_b."""
 
+    constant_jacobian = True
+
     def __init__(self, a: CdNumber, b: CdNumber, c: CdNumber):
         self.a, self.b, self.c = a, b, c
 
     def __call__(self, z: CdNumber) -> CdNumber:
-        from .algebra import mul
-
         return mul(mul(self.a, z), self.b) + self.c
+
+    def apply_many(self, pts: np.ndarray) -> np.ndarray:
+        """The map on an (..., 2^r) array of points; each row has __call__'s bits."""
+        if self.c.dim != self.a.dim:
+            raise DimensionError(f"level mismatch: {self.a.level} vs {self.c.level}")
+        return mul_coeffs(mul_coeffs(self.a.coeffs, pts), self.b.coeffs) + self.c.coeffs
 
     def jacobian_at(self, z: CdNumber) -> RealJacobian:
         return RealJacobian(z.level, left_mul_matrix(self.a) @ right_mul_matrix(self.b))
 
 
-def _features(f, nodes: np.ndarray, step: float):
-    """Values and Jacobians of f on all nodes."""
+def _pointwise_features(f, nodes: np.ndarray, step: float):
     vals = np.empty_like(nodes)
     jacs = np.empty((len(nodes), nodes.shape[1], nodes.shape[1]))
     analytic = getattr(f, "jacobian_at", None)
@@ -125,22 +147,58 @@ def _features(f, nodes: np.ndarray, step: float):
     return vals, jacs
 
 
-def _rho_from_features(fa, fb) -> float:
-    dv = np.linalg.norm(fa[0] - fb[0], axis=1)
-    dj = np.linalg.norm(fa[1] - fb[1], ord=2, axis=(1, 2))
-    return float(np.max(dv + dj))
+def _features(f, nodes: np.ndarray, step: float):
+    """Values (N, dim) and Jacobians (N, dim, dim) of f on all nodes; a
+    constant Jacobian is kept once, as a (1, dim, dim) stack."""
+    vals = batched_values(f, nodes)
+    if vals is None:
+        return _pointwise_features(f, nodes, step)
+    analytic = getattr(f, "jacobian_at", None)
+    if analytic:
+        rows = nodes[:1] if getattr(f, "constant_jacobian", False) else nodes
+        return vals, np.array([analytic(CdNumber(row)).entries for row in rows])
+    samples = batched_values(f, central_stencil(nodes, step))
+    if samples is not None:
+        with np.errstate(all="ignore"):
+            jacs = central_differences(samples, step)
+        if np.all(np.isfinite(jacs)):
+            return vals, jacs
+    return _pointwise_features(f, nodes, step)
+
+
+def _rho_from_features(fa, fb) -> np.ndarray:
+    """Grid maxima of |f-g| + ||f'-g'|| over the last node axis; leading
+    member axes and a (1, dim, dim) constant Jacobian broadcast."""
+    dv = np.linalg.norm(fa[0] - fb[0], axis=-1)
+    dj = np.linalg.norm(fa[1] - fb[1], ord=2, axis=(-2, -1))
+    return np.max(dv + dj, axis=-1)
+
+
+def _distances(feats) -> np.ndarray:
+    """Symmetric matrix of rho between the members' features, one batched
+    row at a time: member i against members i+1 ... n-1."""
+    vals = np.stack([v for v, _ in feats])
+    depth = max(len(j) for _, j in feats)  # 1 when every Jacobian is constant
+    jacs = np.stack([np.broadcast_to(j, (depth,) + j.shape[1:]) for _, j in feats])
+    n = len(feats)
+    dist = np.zeros((n, n))
+    for i in range(n - 1):
+        dist[i, i + 1:] = dist[i + 1:, i] = _rho_from_features((vals[i], jacs[i]),
+                                                               (vals[i + 1:], jacs[i + 1:]))
+    return dist
 
 
 def rho(f, g, grid: CompactGrid) -> RhoValue:
     """Pointwise-plus-derivative proximity of f and g over the grid.
 
     Maps may expose `jacobian_at(z)` for exact derivatives; otherwise
-    central differences at the grid's step are used.
+    central differences at the grid's step are used.  `apply_many` and
+    `constant_jacobian` batch the work (see the module docstring).
     """
     nodes = grid.nodes()
     fa = _features(f, nodes, grid.step)
     fb = _features(g, nodes, grid.step)
-    return RhoValue(_rho_from_features(fa, fb), len(nodes))
+    return RhoValue(float(_rho_from_features(fa, fb)), len(nodes))
 
 
 @dataclass(frozen=True)
@@ -180,15 +238,10 @@ def classify_sequence(fs, grid: CompactGrid, tol: float,
         raise ValueError("classification needs at least 8 functions")
     nodes = grid.nodes()
     feats = [_features(f, nodes, grid.step) for f in fs]
+    dist = _distances(feats)
 
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = _rho_from_features(feats[i], feats[j])
-
-    tail = range(n // 2, n)
-    if max(dist[i, j] for i in tail for j in tail) < tol:
-        return Classification("ConvergesTo", tuple(tail), feats[-1][0])
+    if dist[n // 2:, n // 2:].max() < tol:
+        return Classification("ConvergesTo", tuple(range(n // 2, n)), feats[-1][0])
 
     min_mod = np.array([float(np.min(np.linalg.norm(v[0], axis=1))) for v in feats])
     quarter = min_mod[3 * n // 4:]

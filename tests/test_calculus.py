@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdconf.algebra import CdNumber, cd, exp, inv, mul
 from cdconf.calculus import (
@@ -21,6 +24,7 @@ from cdconf.errors import (
     NonproperRotationError,
     NotSimilarityError,
 )
+from cdconf.moebius import Inv, MoebiusWord, MulQ, RotO, Shift
 
 
 @pytest.fixture
@@ -63,6 +67,37 @@ def test_jacobian_nonfinite_reports_point():
     with pytest.raises(EvaluationError) as err:
         jacobian(nan_map, CdNumber.zero(2))
     assert err.value.point is not None
+
+
+def _pointwise_jacobian(f, z, step):
+    cols = np.empty((z.dim, z.dim))
+    for k in range(z.dim):
+        e = CdNumber.basis(k, z.level) * step
+        cols[:, k] = (f(z + e).coeffs - f(z - e).coeffs) / (2.0 * step)
+    return cols
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]))
+def test_batched_word_jacobian_equals_the_per_point_loop(seed, level):
+    rng = np.random.default_rng(seed)
+    dim = 1 << level
+    mid = (MulQ(cd(rng.normal(size=4)), cd(rng.normal(size=4))) if level == 2 else
+           RotO(((0, 3, float(rng.uniform(-3, 3))), (2, 6, float(rng.uniform(-3, 3))))))
+    w = MoebiusWord([Shift(cd(rng.normal(size=dim))), Inv(), mid,
+                     Shift(cd(rng.normal(size=dim)))], level)
+    z = cd(rng.normal(size=dim))
+    step = float(10.0 ** rng.uniform(-6, -3))
+    assert jacobian(w, z, step).entries.tobytes() == _pointwise_jacobian(w, z, step).tobytes()
+
+
+def test_batched_jacobian_names_a_pole_on_the_stencil():
+    pole = CdNumber.basis(2, 2) * 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite sample in jacobian") as err:
+            jacobian(MoebiusWord([Shift(-pole), Inv()], 2), CdNumber.zero(2), 1e-5)
+    assert err.value.point == pole
 
 
 def test_fd_matches_analytic_sandwich(rng):

@@ -2,14 +2,19 @@ import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdconf.algebra import CdNumber, cd
-from cdconf.calculus import left_mul_matrix
-from cdconf.errors import DomainError
-from cdconf.normal import MAX_LATTICE_POINTS, AffineMap, CompactGrid, classify_sequence, rho
+from cdconf.algebra import CdNumber, cd, mul
+from cdconf.calculus import RealJacobian, finite_value, left_mul_matrix
+from cdconf.errors import DimensionError, DomainError, EvaluationError
+from cdconf.moebius import Inv, MoebiusWord, MulQ, RotO, Shift, compose
+from cdconf.normal import (MAX_LATTICE_POINTS, AffineMap, CompactGrid, _distances, _features,
+                           _rho_from_features, classify_sequence, rho)
 
 
 @pytest.fixture
@@ -185,3 +190,241 @@ def test_classify_needs_eight():
     with pytest.raises(ValueError):
         classify_sequence([affine(CdNumber.one(2))] * 4,
                           CompactGrid(CdNumber.zero(2), 1.0, 16), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# batched features: the same bytes as the per-node path
+# ---------------------------------------------------------------------------
+
+def _reference_features(f, nodes, step):
+    """One CdNumber evaluation per node and per stencil point, in the order
+    and with the checks of the per-point path."""
+    dim = nodes.shape[1]
+    vals = np.empty_like(nodes)
+    jacs = np.empty((len(nodes), dim, dim))
+    for n, row in enumerate(nodes):
+        z = CdNumber(row)
+        vals[n] = finite_value(f, z, "map not evaluable on a grid node").coeffs
+        if hasattr(f, "jacobian_at"):
+            jacs[n] = f.jacobian_at(z).entries
+            continue
+        cols = np.empty((dim, dim))
+        for k in range(dim):
+            e = CdNumber.basis(k, z.level) * step
+            plus = finite_value(f, z + e, "non-finite sample in jacobian")
+            minus = finite_value(f, z - e, "non-finite sample in jacobian")
+            cols[:, k] = (plus.coeffs - minus.coeffs) / (2.0 * step)
+        jacs[n] = RealJacobian(z.level, cols).entries
+    return vals, jacs
+
+
+def _same_bytes(features, reference, nodes):
+    (vals, jacs), (ref_vals, ref_jacs) = features, reference
+    full = np.broadcast_to(jacs, (len(nodes),) + jacs.shape[1:])
+    return vals.tobytes() == ref_vals.tobytes() and full.tobytes() == ref_jacs.tobytes()
+
+
+def _random_word(rng, level, n, scale=1.0):
+    gens = []
+    for _ in range(n):
+        k = int(rng.integers(0, 3))
+        if k == 0:
+            gens.append(Shift(cd(rng.normal(size=1 << level) * scale)))
+        elif k == 1:
+            gens.append(Inv())
+        elif level == 2:
+            gens.append(MulQ(cd(rng.normal(size=4)), cd(rng.normal(size=4))))
+        else:
+            gens.append(RotO(tuple((int(p), int(q), float(rng.uniform(-3, 3)))
+                                   for p, q in (sorted(rng.choice(8, 2, replace=False))
+                                                for _ in range(3)))))
+    return MoebiusWord(gens, level)
+
+
+class _Swirl:
+    """A batched map whose Jacobian varies from node to node."""
+
+    def __call__(self, z):
+        return CdNumber(self.apply_many(z.coeffs))
+
+    def apply_many(self, pts):
+        return pts * np.sum(pts * pts, axis=-1, keepdims=True)
+
+    def jacobian_at(self, z):
+        x = z.coeffs
+        return RealJacobian(z.level, np.dot(x, x) * np.eye(z.dim) + 2.0 * np.outer(x, x))
+
+
+def _family(rng, kind, level):
+    dim = 1 << level
+    if kind == "affine":
+        return AffineMap(*(cd(rng.normal(size=dim)) for _ in range(3)))
+    if kind == "word":  # the pole -s of the leading inversion lies 1 or more off the grid
+        v = rng.normal(size=dim)
+        s = Shift(cd(v / np.linalg.norm(v) * rng.uniform(3.0, 4.0)))
+        return compose(MoebiusWord([s, Inv()], level), _random_word(rng, level, 3, 0.2))
+    if kind == "lambda":
+        a = cd(rng.normal(size=dim))
+        return lambda z: mul(mul(a, z), z)
+    return _Swirl()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["affine", "word", "lambda", "swirl"]))
+def test_batched_features_equal_the_per_node_path(seed, level, kind):
+    rng = np.random.default_rng(seed)
+    f = _family(rng, kind, level)
+    grid = CompactGrid(cd(rng.normal(size=1 << level) * 0.2), float(rng.uniform(0.2, 1.0)),
+                       16 if level == 3 else 40)
+    nodes = grid.nodes()
+    features = _features(f, nodes, grid.step)
+    assert _same_bytes(features, _reference_features(f, nodes, grid.step), nodes)
+    want = 1 if kind == "affine" else len(nodes)
+    assert features[1].shape == (want, 1 << level, 1 << level)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]))
+def test_batched_features_of_any_word_equal_the_per_node_path(seed, level):
+    # long words with shifts of all sizes, led by a pole planted on a node,
+    # on a stencil point, or nowhere
+    rng = np.random.default_rng(seed)
+    f = _random_word(rng, level, int(rng.integers(1, 7)), float(rng.uniform(0.1, 3.0)))
+    grid = CompactGrid(cd(rng.normal(size=1 << level) * 0.2), 1.0, per_axis=3)
+    nodes = grid.nodes()
+    pole = CdNumber(nodes[rng.integers(len(nodes))])
+    plant = int(rng.integers(3))
+    if plant:
+        if plant == 2:
+            pole = pole + CdNumber.basis(int(rng.integers(1 << level)), level) * grid.step
+        f = compose(MoebiusWord([Shift(-pole), Inv()], level), f)
+    try:
+        with np.errstate(all="ignore"):
+            reference = _reference_features(f, nodes, grid.step)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as err:
+            _features(f, nodes, grid.step)
+        assert (str(err.value), err.value.point) == (str(exc), exc.point)
+    else:
+        assert _same_bytes(_features(f, nodes, grid.step), reference, nodes)
+
+
+def test_jacobian_at_alone_is_not_read_as_constant():
+    class Proxy:  # exposes jacobian_at but neither apply_many nor constant_jacobian
+        def __init__(self, f):
+            self.f = f
+
+        def __call__(self, z):
+            return self.f(z)
+
+        def jacobian_at(self, z):
+            return self.f.jacobian_at(z)
+
+    grid = CompactGrid(CdNumber.zero(2), 1.0, 40)
+    nodes = grid.nodes()
+    for f in (Proxy(AffineMap(cd([1, 2, 0, 0]), cd([0, 1, 0, 1]), cd([1, 0, 0, 0]))),
+              _Swirl(), Proxy(_Swirl())):
+        features = _features(f, nodes, grid.step)
+        assert features[1].shape == (len(nodes), 4, 4)
+        assert _same_bytes(features, _reference_features(f, nodes, grid.step), nodes)
+
+
+@pytest.mark.parametrize("kinds", [("affine",), ("word",), ("affine", "word", "lambda", "swirl")])
+@pytest.mark.parametrize("level", [2, 3])
+def test_distance_rows_equal_the_pairwise_metric(kinds, level):
+    rng = np.random.default_rng(len(kinds) + level)
+    fs = [_family(rng, kinds[k % len(kinds)], level) for k in range(12)]
+    grid = CompactGrid(CdNumber.zero(level), 0.5, 16 if level == 3 else 40)
+    feats = [_features(f, grid.nodes(), grid.step) for f in fs]
+    pairwise = np.zeros((12, 12))
+    for i, j in itertools.combinations(range(12), 2):
+        pairwise[i, j] = pairwise[j, i] = _rho_from_features(feats[i], feats[j])
+    assert _distances(feats).tobytes() == pairwise.tobytes()
+
+
+def test_grid_builds_its_nodes_once_and_read_only(monkeypatch):
+    grid = CompactGrid(CdNumber.zero(2), 1.0, resolution=120)
+    calls = []
+    lattice = CompactGrid._lattice
+    monkeypatch.setattr(CompactGrid, "_lattice",
+                        lambda self, p: calls.append(p) or lattice(self, p))
+    nodes = grid.nodes()
+    assert grid.nodes() is nodes and calls == [2, 3, 4, 5, 6, 6]
+    with pytest.raises(ValueError):
+        nodes[0, 0] = 7.0
+    assert np.array_equal(grid.refined().nodes(), _reference_nodes(grid.center, 1.0, 11))
+    assert calls[6:] == [11]
+
+
+def test_grid_refusal_is_raised_on_every_call():
+    grid = CompactGrid(CdNumber.zero(4), 1.0, 16)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="lattice exceeds"):
+            grid.nodes()
+
+
+# ---------------------------------------------------------------------------
+# the point at infinity: the per-node errors, and no warning
+# ---------------------------------------------------------------------------
+
+ODD_GRID = CompactGrid(CdNumber.zero(2), 1.0, per_axis=3)  # nodes 0 and +-i_k
+
+
+def test_pole_on_a_grid_node_names_the_node():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda w: rho(w, w, ODD_GRID),
+                     lambda w: classify_sequence([w] * 8, ODD_GRID, 0.1)):
+            with pytest.raises(EvaluationError, match="map not evaluable on a grid node") as err:
+                call(MoebiusWord([Inv()], 2))
+            assert err.value.point == CdNumber.zero(2)
+
+
+def test_pole_on_a_stencil_point_names_the_point():
+    step = ODD_GRID.step
+    pole = CdNumber.basis(0, 2) * step
+    w = MoebiusWord([Shift(-pole), Inv()], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite sample in jacobian") as err:
+            rho(w, w, ODD_GRID)
+    assert err.value.point == pole
+
+
+def test_inversion_back_from_infinity_keeps_the_exact_value():
+    # 0 -> INF -> 0: the batch sees 0/0, the per-point path the exact 0
+    w = MoebiusWord([Inv(), Inv()], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, _ = _features(w, ODD_GRID.nodes(), ODD_GRID.step)
+    assert np.array_equal(vals, ODD_GRID.nodes())
+
+
+HUGE = MulQ(cd([1e100, 0, 0, 0]), cd([1e100, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("f, grid", [
+    (AffineMap(cd([1e300, 0, 0, 0]), cd([1e10, 0, 0, 0]), CdNumber.zero(2)),
+     CompactGrid(CdNumber.zero(2), 1e-12, per_axis=3)),
+    # finite values and samples, but a derivative of 1e400
+    (MoebiusWord([HUGE, HUGE], 2), CompactGrid(CdNumber.zero(2), 1e-100, step=1e-110, per_axis=3)),
+], ids=["analytic", "central"])
+def test_overflowing_jacobian_is_refused(f, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the per-point path overflows
+        with pytest.raises(EvaluationError, match="non-finite Jacobian entries"):
+            rho(f, f, grid)
+
+
+@pytest.mark.parametrize("f, grid, message", [
+    (AffineMap(CdNumber.one(2), CdNumber.one(2), CdNumber.zero(2)),
+     CompactGrid(CdNumber.zero(3), 1.0, 16), "level mismatch: 2 vs 3"),
+    (AffineMap(CdNumber.one(2), CdNumber.one(2), CdNumber.zero(3)),
+     CompactGrid(CdNumber.zero(2), 1.0, 16), "level mismatch: 2 vs 3"),
+    (MoebiusWord([Inv()], 2), CompactGrid(CdNumber.zero(3), 1.0, 16),
+     "a level-2 word cannot act on 8 coefficients"),
+], ids=["grid", "translation", "word"])
+def test_mixed_levels_raise_the_per_point_error(f, grid, message):
+    with pytest.raises(DimensionError, match=message):
+        rho(f, f, grid)
