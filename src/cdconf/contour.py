@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CdNumber, inv, ln_principal, mul, real_array
-from .calculus import finite_value
+from .algebra import CdNumber, inv, ln_principal, mul, real_array, row_norms
+from .calculus import batched_values, finite_value
 from .errors import (
     BoundaryZeroError,
     CdconfError,
     DegenerateLoopError,
+    DimensionError,
     DomainError,
     EvaluationError,
     PreconditionError,
@@ -386,16 +387,30 @@ def disc_samples(loop_center, radius, n, rng, a0=None, m=None, level=2):
     ys = loop_center[1] + r * np.sin(th)
     a0 = a0 if a0 is not None else CdNumber.zero(level)
     m = m if m is not None else CdNumber.basis(1, level)
-    return [a0 + CdNumber.real(float(x), a0.level) + m * float(y) for x, y in zip(xs, ys)]
+    if m.dim != a0.dim:
+        raise DimensionError(f"level mismatch: {a0.level} vs {m.level}")
+    reals = np.zeros((len(xs), a0.dim))
+    reals[:, 0] = xs
+    # the order of a0 + x + M y point by point: a -0.0 of a0 still meets +0.0
+    rows = (a0.coeffs + reals) + m.coeffs * ys[:, None]
+    return [CdNumber(row) for row in rows]
 
 
-def max_principle_check(f, gamma: PlanarLoop, interior_samples,
-                        tol: float = 1e-9) -> MaxPrincipleResult:
-    """Check sup |f| over interior samples against sup |f| over the loop.
+def _moduli(f, boundary: np.ndarray, samples: list):
+    """|f| on the boundary rows and on the samples.  A map with `apply_many`
+    is evaluated on all of them in one call; when that call raises or a
+    value is not finite, every point is evaluated again one at a time, so a
+    failure names the first bad point as PreconditionError."""
+    if hasattr(f, "apply_many") and all(
+            isinstance(z, CdNumber) and z.dim == boundary.shape[1] for z in samples):
+        try:
+            vals = batched_values(f, np.vstack([boundary, *(z.coeffs for z in samples)]))
+        except Exception:  # the per-point pass below reports it with its point
+            vals = None
+        if vals is not None:
+            norms = row_norms(vals)
+            return norms[:len(boundary)], norms[len(boundary):]
 
-    Evaluation failures and poles on the samples surface as
-    PreconditionError with the witness point.
-    """
     def modulus(z):
         try:
             w = f(z)
@@ -405,13 +420,26 @@ def max_principle_check(f, gamma: PlanarLoop, interior_samples,
             raise PreconditionError("non-finite value (pole?) at a sample", witness=z)
         return w.norm()
 
-    sup_boundary = max(modulus(CdNumber(row)) for row in gamma.embedded()[:-1])
-    sup_interior = 0.0
-    worst = None
-    for z in interior_samples:
-        v = modulus(z)
-        if v > sup_interior:
-            sup_interior, worst = v, z
+    return (np.array([modulus(CdNumber(row)) for row in boundary]),
+            np.array([modulus(z) for z in samples]))
+
+
+def max_principle_check(f, gamma: PlanarLoop, interior_samples,
+                        tol: float = 1e-9) -> MaxPrincipleResult:
+    """Check sup |f| over interior samples against sup |f| over the loop.
+
+    Evaluation failures and poles on the samples surface as
+    PreconditionError with the witness point; the witness of a violation is
+    the first sample attaining the interior supremum.
+    """
+    samples = list(interior_samples)
+    bounds, inner = _moduli(f, gamma.embedded()[:-1], samples)
+    sup_boundary = float(np.max(bounds))
+    sup_interior, worst = 0.0, None
+    if len(inner):
+        k = int(np.argmax(inner))
+        if inner[k] > 0.0:
+            sup_interior, worst = float(inner[k]), samples[k]
     holds = sup_interior <= sup_boundary + tol
     return MaxPrincipleResult(holds, sup_interior, sup_boundary,
                               None if holds else worst)

@@ -51,7 +51,9 @@ class CompactGrid:
     at least that many points fall inside the ball.  refined() doubles the
     lattice density keeping every existing node (odd per-axis counts nest),
     so grid refinement can only add maxima.  A lattice of more than
-    MAX_LATTICE_POINTS points is refused with DomainError before it is built.
+    MAX_LATTICE_POINTS points is refused with DomainError before it is built;
+    nodes() refuses one with no node in the ball (an explicit per_axis of 1
+    or 2) the same way.
     """
 
     center: CdNumber
@@ -86,7 +88,11 @@ class CompactGrid:
 
     @cached_property
     def _nodes(self) -> np.ndarray:
-        nodes = self.center.coeffs + self._lattice(self._per_axis)
+        lattice = self._lattice(self._per_axis)
+        if not len(lattice):
+            raise DomainError(f"a lattice of {self._per_axis} points per axis "
+                              "has no node in the ball")
+        nodes = self.center.coeffs + lattice
         nodes.flags.writeable = False  # shared by every caller
         return nodes
 

@@ -26,6 +26,7 @@ from cdconf.algebra import (
     re,
     real_array,
     real_number,
+    row_norms,
 )
 from cdconf.errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
 
@@ -200,6 +201,34 @@ def test_mul_coeffs_equals_the_dense_oracle_bit_for_bit(level, n_a, n_b, lead_x,
     got, want = mul_coeffs(x, y), dense_mul(x, y)
     assert got.shape == want.shape == np.broadcast_shapes(shape_x, shape_y)
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(level=st.integers(2, 6), rows=st.integers(1, 40), lead=st.sampled_from(["(n,)", "(a, n)"]),
+       layout=st.sampled_from(["c", "fortran", "strided", "sliced"]),
+       scale=st.sampled_from([1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150]),
+       exponent=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_norms_equal_cdnumber_norm_bit_for_bit(level, rows, lead, layout, scale, exponent,
+                                                   seed):
+    dim = 1 << level
+    shape = (rows, dim) if lead == "(n,)" else (2, rows, dim)
+    rng = np.random.default_rng(seed)
+    x = _layout(_coefficients(rng, shape, exponent) * scale, layout)
+    with np.errstate(over="ignore"):  # 1e150 * 1e8 squares past the largest double
+        got = row_norms(x)
+        want = np.array([CdNumber(row).norm() for row in x.reshape(-1, dim)]).reshape(shape[:-1])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_row_norms_warn_where_the_norm_overflows():
+    x = np.array([[1e200, 0, 0, 0], [1.0, 0, 0, 0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        want = CdNumber(x[0]).norm()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        got = row_norms(x)
+    assert got[0] == want == math.inf
+    assert got[1] == 1.0
 
 
 def test_non_finite_products_stay_non_finite():

@@ -1,13 +1,18 @@
 import math
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, inv, mul
 from cdconf.contour import (
     MAX_PARTITION_SEGMENTS,
+    MaxPrincipleResult,
     PlanarLoop,
     PlanarPath,
     PlaneRect,
@@ -22,12 +27,15 @@ from cdconf.contour import (
 from cdconf.errors import (
     BoundaryZeroError,
     DegenerateLoopError,
+    DimensionError,
     DomainError,
     EvaluationError,
     PreconditionError,
     QuadratureError,
 )
 from cdconf.moebius import Inv, MoebiusWord, MulQ, Shift, apply_word
+from cdconf.normal import AffineMap
+from cdconf.suites import rand_cd, rand_imag_unit, random_word
 
 
 I1 = CdNumber.basis(1, 2)
@@ -331,6 +339,181 @@ def test_max_principle_violation_witness(rng, unit_loop):
     res = max_principle_check(f, unit_loop, samples)
     assert not res.holds
     assert res.witness is not None
+
+
+def _reference_max_principle(f, gamma, samples, tol=1e-9):
+    """The check one map call at a time."""
+    def modulus(z):
+        try:
+            w = f(z)
+        except Exception as exc:
+            raise PreconditionError(f"map not evaluable: {exc}", witness=z) from exc
+        if not isinstance(w, CdNumber) or not np.all(np.isfinite(w.coeffs)):
+            raise PreconditionError("non-finite value (pole?) at a sample", witness=z)
+        return w.norm()
+
+    sup_boundary = max(modulus(CdNumber(row)) for row in gamma.embedded()[:-1])
+    sup_interior, worst = 0.0, None
+    for z in samples:
+        v = modulus(z)
+        if v > sup_interior:
+            sup_interior, worst = v, z
+    holds = sup_interior <= sup_boundary + tol
+    return MaxPrincipleResult(holds, sup_interior, sup_boundary, None if holds else worst)
+
+
+def _point_key(z, samples):
+    """A sample by its identity, any other point by its bytes."""
+    if z is None:
+        return None
+    for k, s in enumerate(samples):
+        if z is s:
+            return ("sample", k)
+    return ("point", z.coeffs.tobytes())
+
+
+def _outcome(check, f, gamma, samples):
+    """The result as bytes with its witness, or the PreconditionError's
+    message and witness, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = check(f, gamma, samples)
+        except PreconditionError as err:
+            return ("raised", str(err), _point_key(err.witness, samples))
+    assert type(res.sup_interior) is float and type(res.sup_boundary) is float
+    return (res.holds, struct.pack("<dd", res.sup_interior, res.sup_boundary),
+            _point_key(res.witness, samples))
+
+
+def _assert_matches_reference(f, gamma, samples):
+    want = _outcome(_reference_max_principle, f, gamma, samples)
+    assert _outcome(max_principle_check, f, gamma, samples) == want
+    return want
+
+
+def _random_disc(rng, level):
+    m = rand_imag_unit(rng, level)
+    a0 = rand_cd(rng, level, 0.3)
+    radius = float(rng.uniform(0.3, 1.5))
+    loop = PlanarLoop.circle(a0, m, radius=radius, n=int(rng.integers(16, 80)))
+    # samples reach past the loop too, so some checks fail with a witness
+    samples = disc_samples((0.0, 0.0), 1.3 * radius, int(rng.integers(0, 60)), rng,
+                           a0=a0, m=m)
+    return loop, samples
+
+
+def _random_map(rng, kind, level):
+    if kind == "word":
+        return random_word(rng, level, n_gens=int(rng.integers(1, 6)))
+    a, b, c = (rand_cd(rng, level) for _ in range(3))
+    if kind == "affine":
+        return AffineMap(a, b, c)
+    return lambda z: mul(mul(a, z), mul(z, b)) + c
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["word", "affine", "lambda"]), level=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_max_principle_batched_equals_per_point(kind, level, seed):
+    rng = np.random.default_rng(seed)
+    loop, samples = _random_disc(rng, level)
+    _assert_matches_reference(_random_map(rng, kind, level), loop, samples)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("where", ["vertex", "sample", "nowhere", "through-infinity"])
+def test_max_principle_poles_keep_the_per_point_error(level, where):
+    rng = np.random.default_rng(7 + level)
+    loop, samples = _random_disc(rng, level)
+    samples = samples or disc_samples((0.0, 0.0), 0.5, 5, rng, a0=loop.a0, m=loop.m)
+    pole = {"vertex": loop.point(5), "sample": samples[len(samples) // 2],
+            "nowhere": loop.a0 + rand_cd(rng, level, 10.0),
+            "through-infinity": samples[-1]}[where]
+    c = rand_cd(rng, level)
+    # through-infinity: pole -> 0 -> INF -> 0 is finite point by point, NaN in a batch
+    inversions = [Inv(), Inv()] if where == "through-infinity" else [Inv()]
+    word = MoebiusWord([Shift(-pole), *inversions, Shift(c)], level)
+    got = _assert_matches_reference(word, loop, samples)
+    assert (got[0] == "raised") == (where in ("vertex", "sample"))
+    if where == "sample":
+        assert got[2] == ("sample", len(samples) // 2)
+    plain = _assert_matches_reference(lambda z: inv(z - pole) + c, loop, samples)
+    assert (plain[0] == "raised") == (where in ("vertex", "sample", "through-infinity"))
+
+
+class _Counted:
+    """A map with a batched form that counts its calls; the batch may raise."""
+
+    def __init__(self, f, batch_error=None):
+        self.f, self.batch_error = f, batch_error
+        self.calls = self.batches = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.f(z)
+
+    def apply_many(self, pts):
+        self.batches += 1
+        if self.batch_error is not None:
+            raise self.batch_error
+        return self.f.apply_many(pts)
+
+
+def test_max_principle_evaluates_a_word_in_one_batch():
+    rng = np.random.default_rng(3)
+    loop, samples = _random_disc(rng, 3)
+    f = _Counted(random_word(rng, 3, n_gens=4))
+    _assert_matches_reference(f, loop, samples)
+    calls = f.calls  # the reference's
+    assert f.batches == 1 and calls == len(loop.pts) - 1 + len(samples)
+    max_principle_check(f, loop, samples)
+    assert f.batches == 2 and f.calls == calls
+
+
+@pytest.mark.parametrize("error", [RuntimeError("batch failed"), ValueError("bad shape"),
+                                   PreconditionError("refused"), DomainError("refused")])
+def test_max_principle_falls_back_when_the_batch_raises(error):
+    rng = np.random.default_rng(4)
+    loop, samples = _random_disc(rng, 2)
+    f = _Counted(random_word(rng, 2, n_gens=3), batch_error=error)
+    _assert_matches_reference(f, loop, samples)
+    assert f.batches == 1 and f.calls == 2 * (len(loop.pts) - 1 + len(samples))
+
+
+def _reference_disc_samples(loop_center, radius, n, rng, a0, m):
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+    th = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    xs = loop_center[0] + r * np.cos(th)
+    ys = loop_center[1] + r * np.sin(th)
+    return [a0 + CdNumber.real(float(x), a0.level) + m * float(y) for x, y in zip(xs, ys)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(level=st.sampled_from([2, 3]), signed_zeros=st.booleans(), tiny=st.booleans(),
+       n=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_disc_samples_equal_the_per_point_sum(level, signed_zeros, tiny, n, seed):
+    rng = np.random.default_rng(seed)
+    a0 = rand_cd(rng, level, 0.5).coeffs
+    if signed_zeros:  # -0.0 + 0.0 is +0.0 in the per-point sum
+        a0 = np.where(rng.random(a0.shape) < 0.5, -0.0, a0)
+    if tiny:
+        a0 = a0 * 1e-300
+    a0, m = CdNumber(a0), rand_imag_unit(rng, level)
+    center = (0.0, 0.0) if tiny else tuple(rng.normal(size=2))
+    radius = float(rng.uniform(1e-3, 2.0))
+    got = disc_samples(center, radius, n, np.random.default_rng(seed), a0=a0, m=m)
+    want = _reference_disc_samples(center, radius, n, np.random.default_rng(seed), a0, m)
+    assert [z.coeffs.tobytes() for z in got] == [z.coeffs.tobytes() for z in want]
+
+
+def test_disc_samples_default_plane_and_level_mismatch(rng):
+    got = disc_samples((0.1, -0.2), 0.5, 20, np.random.default_rng(5), level=3)
+    want = _reference_disc_samples((0.1, -0.2), 0.5, 20, np.random.default_rng(5),
+                                   CdNumber.zero(3), CdNumber.basis(1, 3))
+    assert [z.coeffs.tobytes() for z in got] == [z.coeffs.tobytes() for z in want]
+    with pytest.raises(DimensionError, match="level mismatch: 3 vs 2"):
+        disc_samples((0, 0), 1.0, 3, rng, a0=CdNumber.zero(3), m=I1)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,17 @@ def test_grid_refuses_a_large_lattice_before_building_it():
     assert peak < 64 * 2 ** 20
 
 
+@pytest.mark.parametrize("level, per_axis", [(2, 0), (2, 1), (2, 2), (3, 2)])
+def test_an_empty_lattice_is_a_domain_error(level, per_axis):
+    # an explicit per_axis of 1 or 2 puts every lattice point outside the ball
+    grid = CompactGrid(CdNumber.zero(level), 1.0, per_axis=per_axis)
+    f = AffineMap(CdNumber.one(level), CdNumber.one(level), CdNumber.zero(level))
+    with pytest.raises(DomainError, match="no node in the ball"):
+        rho(f, f, grid)
+    with pytest.raises(DomainError, match="no node in the ball"):
+        classify_sequence([f] * 8, grid, 0.1)
+
+
 def test_rho_self_zero(grid):
     f = affine(cd([1, 0.3, 0, 0]), cd([0.5, 0, 0.2, 0]), cd([0, 0, 0, 1]))
     assert rho(f, f, grid).value == 0.0
