@@ -380,13 +380,14 @@ class MaxPrincipleResult:
 
 
 def disc_samples(loop_center, radius, n, rng, a0=None, m=None, level=2):
-    """n in-plane sample points of the open disc, as CdNumbers."""
+    """n in-plane sample points of the open disc, as CdNumbers.  a0
+    defaults to 0 at `level`, and M to i_1 at the level of a0."""
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     th = rng.uniform(0.0, 2.0 * math.pi, size=n)
     xs = loop_center[0] + r * np.cos(th)
     ys = loop_center[1] + r * np.sin(th)
     a0 = a0 if a0 is not None else CdNumber.zero(level)
-    m = m if m is not None else CdNumber.basis(1, level)
+    m = m if m is not None else CdNumber.basis(1, a0.level)
     if m.dim != a0.dim:
         raise DimensionError(f"level mismatch: {a0.level} vs {m.level}")
     reals = np.zeros((len(xs), a0.dim))

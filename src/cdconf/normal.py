@@ -52,8 +52,8 @@ class CompactGrid:
     lattice density keeping every existing node (odd per-axis counts nest),
     so grid refinement can only add maxima.  A lattice of more than
     MAX_LATTICE_POINTS points is refused with DomainError before it is built;
-    nodes() refuses one with no node in the ball (an explicit per_axis of 1
-    or 2) the same way.
+    nodes() refuses one with no node in the ball (an explicit per_axis of 0,
+    1 or 2) the same way, and a negative per_axis is refused on construction.
     """
 
     center: CdNumber
@@ -67,6 +67,8 @@ class CompactGrid:
             raise DomainError(f"grid radius must be finite and positive, got {self.radius}")
         if self.resolution < 1:
             raise DomainError(f"grid resolution must be at least 1, got {self.resolution}")
+        if self.per_axis is not None and self.per_axis < 0:
+            raise DomainError(f"grid per_axis must not be negative, got {self.per_axis}")
 
     @cached_property
     def _per_axis(self) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import re as _re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -144,8 +144,23 @@ class ZcPow(_Power):
 
 @dataclass(frozen=True)
 class Mul:
+    """A product node.  Its hash is computed once, on construction, so a
+    dict lookup does not walk the tree below it; equality stays
+    structural."""
+
     left: object
     right: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy or an unpickled tree hashes anew
+        return Mul, (self.left, self.right)
 
 
 _SYMBOLS = {cls.symbol: cls for cls in (E, Ec, OneOp, OneOpC, ZPow, ZcPow)}
@@ -248,7 +263,8 @@ def _make_words(raw) -> tuple:
             raise PhraseSemanticError("a word cannot consist of constants only")
         key = t2
         combined[key] = combined.get(key, Fraction(0)) + c
-        order.setdefault(key, _render_tree(key))
+        if key not in order:
+            order[key] = _render_tree(key)
     words = [Word(c, t) for t, c in combined.items() if c != 0]
     words.sort(key=lambda w: (w.degree, order[w.tree]))
     return tuple(words)
@@ -258,10 +274,13 @@ class Phrase:
     """A finite sum of words, built from (coefficient, tree) pairs; immutable,
     with value and operator semantics."""
 
-    __slots__ = ("words", "_level")
+    __slots__ = ("words", "_level", "_derived")
 
     def __init__(self, words):
         object.__setattr__(self, "words", _make_words(words))
+        # antiderive and hat_operator results, keyed (op, side, var); not
+        # part of the value, so == and hash ignore it
+        object.__setattr__(self, "_derived", {})
         level = None
         for w in self.words:
             lv = _tree_level(w.tree)
@@ -757,7 +776,7 @@ def eval_phrase(phrase: Phrase, zval, h=None):
     Leaves map as: constants to themselves, e and ec to 1, z^p and zc^p to
     the powers of z and conj(z), I and Ic to h and conj(h).  h is required
     whenever the phrase contains operator slots; for several variables pass
-    dicts {var: value}.
+    dicts {var: value}.  Each distinct product subtree is multiplied once.
     """
     zenv = _as_env(zval)
     henv = _as_env(h)
@@ -793,10 +812,31 @@ def eval_phrase(phrase: Phrase, zval, h=None):
             return _power(cache, zv, leaf.p, ("z", leaf.var))
         return _power(cache, conj_coeffs(zv), leaf.p, ("zc", leaf.var))
 
-    def tree_value(tree):
+    # uses of each product node: one per word it roots and one per distinct
+    # parent, since a repeated node's children are evaluated only once
+    uses = Counter()
+
+    def count_uses(tree):
         if isinstance(tree, Mul):
-            return mul_coeffs(tree_value(tree.left), tree_value(tree.right))
-        return leaf_value(tree)
+            uses[tree] += 1
+            if uses[tree] == 1:
+                count_uses(tree.left)
+                count_uses(tree.right)
+
+    for w in phrase.words:
+        count_uses(w.tree)
+    memo = {}  # values of the product nodes that have uses left
+
+    def tree_value(tree):
+        if not isinstance(tree, Mul):
+            return leaf_value(tree)
+        value = memo.pop(tree, None)
+        if value is None:
+            value = mul_coeffs(tree_value(tree.left), tree_value(tree.right))
+        uses[tree] -= 1
+        if uses[tree]:
+            memo[tree] = value
+        return value
 
     total = np.zeros(batch + (dim,))
     for w in phrase.words:
@@ -823,6 +863,11 @@ def _check_z_only(phrase: Phrase, var: int, op: str):
             if isinstance(leaf, OneOp):
                 raise UnsupportedPhraseError(
                     f"{op} does not accept operator-valued phrases")
+
+
+def _check_side(side: str):
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
 
 
 def _has_active(tree, var: int) -> bool:
@@ -910,11 +955,15 @@ def antiderive(phrase: Phrase, side: str = "left", var: int = 1) -> Phrase:
 
     side selects the left or right telescoping order; the two agree up to
     a function constant on the algebra but generally differ as phrases.
+    The result is built once per (side, var) and kept on the phrase.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    _check_z_only(phrase, var, "antiderive")
-    return Phrase(_expand(_terms(phrase), lambda t: _a_tree(t, var, side)))
+    _check_side(side)
+    key = ("antiderive", side, var)
+    if key not in phrase._derived:
+        _check_z_only(phrase, var, "antiderive")
+        phrase._derived[key] = Phrase(
+            _expand(_terms(phrase), lambda t: _a_tree(t, var, side)))
+    return phrase._derived[key]
 
 
 def _full_d_leaf(leaf, var: int) -> list:
@@ -937,7 +986,12 @@ def hat_operator(phrase: Phrase, var: int = 1, side: str = "left") -> Phrase:
 
     Evaluating the result with h equal to a displacement realizes the
     integral-sum kernel; with h = 1 it reproduces the input phrase values.
+    The result is built once per (var, side) and kept on the phrase.
     """
-    mu = antiderive(phrase, side, var)
-    return Phrase(_expand(_terms(mu),
-                          lambda t: _leibniz(t, lambda leaf: _full_d_leaf(leaf, var))))
+    _check_side(side)
+    key = ("hat_operator", side, var)
+    if key not in phrase._derived:
+        mu = antiderive(phrase, side, var)
+        phrase._derived[key] = Phrase(_expand(
+            _terms(mu), lambda t: _leibniz(t, lambda leaf: _full_d_leaf(leaf, var))))
+    return phrase._derived[key]

@@ -516,6 +516,16 @@ def test_disc_samples_default_plane_and_level_mismatch(rng):
         disc_samples((0, 0), 1.0, 3, rng, a0=CdNumber.zero(3), m=I1)
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_disc_samples_default_plane_follows_a0(level):
+    # without m, M is i_1 at the level of a0, not at the default level 2
+    a0 = CdNumber.real(0.25, level)
+    got = disc_samples((0.1, -0.2), 0.5, 20, np.random.default_rng(5), a0=a0)
+    want = _reference_disc_samples((0.1, -0.2), 0.5, 20, np.random.default_rng(5),
+                                   a0, CdNumber.basis(1, level))
+    assert [z.coeffs.tobytes() for z in got] == [z.coeffs.tobytes() for z in want]
+
+
 # ---------------------------------------------------------------------------
 # zero localization
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ def test_grid_rejects_zero_resolution():
         CompactGrid(CdNumber.zero(2), 1.0, 0)
 
 
+@pytest.mark.parametrize("per_axis", [-1, -7])
+def test_grid_rejects_a_negative_per_axis(per_axis):
+    # refused on construction, before np.linspace can raise a bare ValueError
+    with pytest.raises(DomainError, match="per_axis must not be negative"):
+        CompactGrid(CdNumber.zero(2), 1.0, per_axis=per_axis)
+
+
 def test_grid_refuses_a_large_lattice_before_building_it():
     # a 16-coefficient center needs 3^16 points (about 5.5 GB stacked)
     grid = CompactGrid(CdNumber.zero(4), 1.0, 16)

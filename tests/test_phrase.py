@@ -1,12 +1,17 @@
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdconf import phrase as ph
-from cdconf.algebra import CdNumber, cd, mul
+from cdconf.algebra import CdNumber, cd, conj_coeffs, mul, mul_coeffs
 from cdconf.errors import (
     MissingOperatorArgumentError,
     MultiplicityError,
@@ -415,3 +420,218 @@ def test_hat_at_one_reproduces_phrase(rng):
             got = hat.eval(z0, h=one)
             want = nu.eval(z0)
             assert (got - want).norm() <= 1e-10 * max(1.0, want.norm())
+
+
+# ---------------------------------------------------------------------------
+# the subtree memo of eval_phrase
+# ---------------------------------------------------------------------------
+
+def _walk_words(phrase, zval, h=None):
+    """eval_phrase without a memo: every word walks its own tree, and a
+    power z^p is p - 1 products, the lower powers of one symbol shared."""
+    zenv, henv = ph._as_env(zval), ph._as_env(h)
+    envs = list(zenv.values()) + list(henv.values())
+    dim = envs[0].shape[-1]
+    powers = {}
+
+    def power(base, p, key):
+        if (key, p) not in powers:
+            powers[key, p] = base if p == 1 else mul_coeffs(power(base, p - 1, key), base)
+        return powers[key, p]
+
+    def value(tree):
+        if isinstance(tree, ph.Mul):
+            return mul_coeffs(value(tree.left), value(tree.right))
+        if isinstance(tree, ph.Const):
+            return np.asarray(tree.values)
+        if isinstance(tree, (ph.E, ph.Ec)):
+            one = np.zeros(dim)
+            one[0] = 1.0
+            return one
+        if isinstance(tree, (ph.OneOp, ph.OneOpC)):
+            hval = henv[tree.var]
+            return conj_coeffs(hval) if isinstance(tree, ph.OneOpC) else hval
+        zv = zenv[tree.var]
+        if isinstance(tree, ph.ZPow):
+            return power(zv, tree.p, ("z", tree.var))
+        return power(conj_coeffs(zv), tree.p, ("zc", tree.var))
+
+    total = np.zeros(np.broadcast_shapes(*(v.shape[:-1] for v in envs)) + (dim,))
+    for w in phrase.words:
+        total = total + float(w.coeff) * value(w.tree)
+    first = next(iter(zval.values())) if isinstance(zval, dict) else zval
+    if isinstance(first, CdNumber) and total.ndim == 1:
+        return CdNumber(total)
+    return total
+
+
+def _random_tree(rng, leaves, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return leaves[int(rng.integers(len(leaves)))]
+    return ph.Mul(_random_tree(rng, leaves, depth - 1), _random_tree(rng, leaves, depth - 1))
+
+
+def _repeating_phrase(rng, level, two_vars, ops):
+    """Words built from a pool of three subtrees, so subtrees repeat within
+    and across words; conjugate powers and markers always, a second
+    variable and operator slots on request."""
+    leaves = [ph.Const(tuple(rng.normal(size=1 << level))), ph.ZPow(int(rng.integers(1, 4))),
+              ph.ZcPow(int(rng.integers(1, 3))), ph.E(), ph.Ec()]
+    if two_vars:
+        leaves += [ph.ZPow(int(rng.integers(1, 3)), 2), ph.ZcPow(1, 2)]
+    if ops:
+        leaves += [ph.OneOp(), ph.OneOpC()]
+    pool = [ph.Mul(_random_tree(rng, leaves, 2), ph.ZPow(1)) for _ in range(3)]
+    words = []
+    for _ in range(int(rng.integers(1, 6))):
+        a, b = (pool[int(k)] for k in rng.integers(3, size=2))
+        if rng.random() < 0.5:
+            a = ph.Mul(a, _random_tree(rng, leaves + pool, 2))
+        words.append((Fraction(int(rng.integers(1, 9)), 4), ph.Mul(a, b)))
+    return ph.Phrase(words)
+
+
+def _value(rng, shape, dim):
+    if shape is None:
+        return CdNumber(rng.normal(size=dim) * 0.7)
+    return rng.normal(size=shape + (dim,)) * 0.7
+
+
+def _bytes(x):
+    return type(x), np.asarray(getattr(x, "coeffs", x)).tobytes()
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
+       shape=st.sampled_from([None, (5,), (2, 3)]))
+def test_memoized_eval_equals_the_word_walk(seed, level, shape):
+    rng = np.random.default_rng(seed)
+    dim = 1 << level
+    nu = random_phrase(rng, level)
+    cases = [(ph.hat_operator(nu, side=side), _value(rng, shape, dim), _value(rng, shape, dim))
+             for side in ("left", "right")]
+    cases.append((nu, _value(rng, shape, dim), None))
+    two_vars, ops = bool(rng.integers(2)), bool(rng.integers(2))
+    rep = _repeating_phrase(rng, level, two_vars, ops)
+    z = {1: _value(rng, shape, dim), 2: _value(rng, shape, dim)} if two_vars else _value(rng, shape, dim)
+    cases.append((rep, z, _value(rng, shape, dim) if ops else None))
+    for phrase, zval, h in cases:
+        assert _bytes(ph.eval_phrase(phrase, zval, h)) == _bytes(_walk_words(phrase, zval, h))
+
+
+def _distinct_products(phrase):
+    seen = set()
+
+    def visit(tree):
+        if isinstance(tree, ph.Mul):
+            seen.add(tree)
+            visit(tree.left)
+            visit(tree.right)
+
+    for w in phrase.words:
+        visit(w.tree)
+    return len(seen)
+
+
+def _power_products(phrase):
+    top = {}
+    for w in phrase.words:
+        for leaf in ph._leaves(w.tree):
+            if isinstance(leaf, ph._Power):
+                key = (type(leaf), leaf.var)
+                top[key] = max(top.get(key, 1), leaf.p)
+    return sum(p - 1 for p in top.values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_distinct_product_is_multiplied_once(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    level = 2 + seed % 2
+    dim = 1 << level
+    nu = random_phrase(rng, level)
+    cases = [(ph.hat_operator(nu, side="left" if seed % 2 else "right"),
+              rng.normal(size=(7, dim)), rng.normal(size=(7, dim))),
+             (_repeating_phrase(rng, level, True, True),
+              {1: rng.normal(size=(7, dim)), 2: rng.normal(size=(7, dim))},
+              rng.normal(size=(7, dim)))]
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return mul_coeffs(x, y)
+
+    monkeypatch.setattr(ph, "mul_coeffs", counted)
+    for phrase, zval, h in cases:
+        calls.clear()
+        ph.eval_phrase(phrase, zval, h)
+        assert len(calls) == _distinct_products(phrase) + _power_products(phrase)
+    # the kernel repeats subtrees, so the memo is exercised
+    kernel = cases[0][0]
+    walked = sum(1 for w in kernel.words for _ in ph._leaves(w.tree)) - len(kernel.words)
+    assert _distinct_products(kernel) < walked
+
+
+# ---------------------------------------------------------------------------
+# cached hashes and derived phrases
+# ---------------------------------------------------------------------------
+
+def test_equal_trees_built_apart_hash_equal():
+    a = ph.parse("([0,1,0,0] z^2) (z [0,0,1,0])")
+    b = ph.parse("([0,1,0,0] z^2) (z [0,0,1,0])")
+    ta, tb = a.words[0].tree, b.words[0].tree
+    assert ta is not tb and ta == tb and hash(ta) == hash(tb)
+    assert a == b and hash(a) == hash(b)
+    assert ph.Mul(ph.ZPow(1), ph.E()) != ph.Mul(ph.E(), ph.ZPow(1))
+
+
+def test_mul_hash_survives_copies():
+    tree = ph.parse("([0,1,0,0] z^2) (z [0,0,1,0])").words[0].tree
+    copies = [copy.deepcopy(tree), pickle.loads(pickle.dumps(tree)),
+              dataclasses.replace(tree), dataclasses.replace(tree, right=ph.E())]
+    for t in copies:
+        assert hash(t) == hash((t.left, t.right))
+    assert copies[0] == copies[1] == copies[2] == tree
+
+
+def test_mul_repr_is_unchanged():
+    assert repr(ph.Mul(ph.ZPow(2), ph.E(3))) == "Mul(left=ZPow(p=2, var=1), right=E(var=3))"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_antiderive_and_hat_are_built_once(side):
+    nu = ph.parse("[0,1,0,0] z [0,0,1,0] z + 2 z^2")
+    mu = ph.antiderive(nu, side)
+    assert ph.antiderive(nu, side) is mu and nu.antiderive(side) is mu
+    hat = ph.hat_operator(nu, side=side)
+    assert ph.hat_operator(nu, side=side) is hat
+    other = "right" if side == "left" else "left"
+    assert ph.antiderive(nu, other) is not mu
+    # a fresh phrase builds the same results again
+    assert ph.antiderive(ph.parse(nu.render()), side) == mu
+
+
+@pytest.mark.parametrize("build", [lambda p: ph.antiderive(p, "middle"),
+                                   lambda p: ph.hat_operator(p, side="middle"),
+                                   lambda p: ph.hat_operator(p, side=["left"])])
+def test_a_bad_side_raises_and_caches_nothing(build):
+    nu = ph.parse("z^2")
+    with pytest.raises(ValueError, match="side must be"):
+        build(nu)
+    assert nu._derived == {}
+
+
+def test_a_rejected_phrase_caches_nothing():
+    nu = ph.parse("zc z")
+    with pytest.raises(UnsupportedPhraseError):
+        ph.hat_operator(nu)
+    assert nu._derived == {}
+
+
+def test_phrase_value_ignores_its_derived_cache():
+    a, b = ph.parse("z [0,1,0,0] z"), ph.parse("z [0,1,0,0] z")
+    ph.hat_operator(a, side="right")
+    assert a._derived and not b._derived
+    assert a == b and hash(a) == hash(b)
+    for name in ("words", "_derived", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
