@@ -32,6 +32,7 @@ __all__ = [
     "Verdict",
     "DEFAULT_STEP",
     "finite_value",
+    "values_at",
     "jacobian",
     "left_mul_matrix",
     "right_mul_matrix",
@@ -100,52 +101,58 @@ def finite_value(f, z: CdNumber, what: str) -> CdNumber:
     return w
 
 
-def batched_values(f, pts: np.ndarray):
-    """f.apply_many(pts) when f has it and every value is finite, else None:
-    the per-point path then handles the point at infinity exactly and raises
-    the per-point error (a DimensionError too) at the first bad point."""
-    many = getattr(f, "apply_many", None)
-    if many is None:
-        return None
-    try:
-        with np.errstate(all="ignore"):
-            out = many(pts)
-    except DimensionError:
-        return None
-    return out if np.all(np.isfinite(out)) else None
+def values_at(f, pts: np.ndarray, value) -> np.ndarray:
+    """The (..., dim) values of the map f on an (..., dim) array of points.
+
+    A map is any callable on CdNumber.  It may add `apply_many`, f on an
+    (..., 2^r) array in one call with the bits of f point by point
+    (MoebiusWord, AffineMap, and a Phrase, which is a map of z).  Its values
+    are returned when the call does not raise and every one is finite;
+    otherwise the points are evaluated in C order by the caller's
+    `value(idx)`, the coefficients of f at pts[idx], which raises the
+    caller's error at the first bad point and handles the point at infinity
+    exactly.  Consumers of derivatives also read `jacobian_at(z)`, an exact
+    RealJacobian, and `constant_jacobian`, which keeps one Jacobian per map.
+    """
+    if hasattr(f, "apply_many"):
+        try:
+            with np.errstate(all="ignore"):
+                out = f.apply_many(pts)
+            if np.all(np.isfinite(out)):
+                return out
+        except Exception:  # value() raises it again at its point
+            pass
+    out = np.empty(pts.shape)
+    for idx in np.ndindex(pts.shape[:-1]):
+        out[idx] = value(idx)
+    return out
 
 
 def central_stencil(pts: np.ndarray, step: float) -> np.ndarray:
-    """The (2, ..., dim, dim) points pts + step e_k and pts - step e_k
-    around each (..., dim) point; axis -2 is k."""
+    """The (..., dim, 2, dim) points pts + step e_k and pts - step e_k
+    around each (..., dim) point, in the order +e_0, -e_0, +e_1, ..."""
     shift = np.eye(pts.shape[-1]) * step
     x = pts[..., None, :]
-    return np.stack([x + shift, x - shift])
+    return np.stack([x + shift, x - shift], axis=-2)
 
 
 def central_differences(samples: np.ndarray, step: float) -> np.ndarray:
     """(..., dim, dim) Jacobians from a map's values on central_stencil:
     column k is (f(x + step e_k) - f(x - step e_k)) / (2 step)."""
-    return np.ascontiguousarray(np.swapaxes((samples[0] - samples[1]) / (2.0 * step), -1, -2))
+    diff = (samples[..., 0, :] - samples[..., 1, :]) / (2.0 * step)
+    return np.ascontiguousarray(np.swapaxes(diff, -1, -2))
 
 
 def jacobian(f, z: CdNumber, step: float = DEFAULT_STEP) -> RealJacobian:
-    """Second-order central-difference Jacobian of f at z.
-
-    A map with `apply_many` is sampled on all 2 dim stencil points in one
-    call.  f must be defined on a ball of radius 2*step around z; a
-    non-finite sample raises EvaluationError carrying the offending point.
-    """
+    """Second-order central-difference Jacobian of f at z, from one
+    values_at call on the 2 dim stencil points.  f must be defined on a ball
+    of radius 2*step around z; a non-finite sample raises EvaluationError
+    carrying the offending point."""
     if step <= 0:
         raise ValueError("step must be positive")
     pts = central_stencil(z.coeffs, step)
-    samples = batched_values(f, pts)
-    if samples is None:
-        samples = np.empty_like(pts)
-        for k in range(z.dim):
-            for side in (0, 1):
-                samples[side, k] = finite_value(f, CdNumber(pts[side, k]),
-                                                "non-finite sample in jacobian").coeffs
+    samples = values_at(f, pts, lambda idx: finite_value(
+        f, CdNumber(pts[idx]), "non-finite sample in jacobian").coeffs)
     return RealJacobian(z.level, central_differences(samples, step), step=step,
                         method="central-2")
 

@@ -145,7 +145,7 @@ def _map_spec(payload, key="map"):
     if kind == "moebius":
         return _word(spec)
     if kind == "phrase":
-        return ph.parse(_need(spec, "text", str)).eval
+        return ph.parse(_need(spec, "text", str))
     raise SchemaError(f"unknown map kind {kind!r}")
 
 
@@ -280,7 +280,7 @@ def _cmd_domain(payload, rng, tol):
         kind = _need(spec, "kind", str)
         if kind == "frame":
             u, v = _cd(spec, "u"), _cd(spec, "v")
-            f = lambda z: algebra.mul(algebra.mul(u, z), v)
+            f = AffineMap(u, v, CdNumber.zero(u.level))
             level = u.level
         elif kind == "ball-squared":
             f, level = _ball_squared(spec)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CdNumber, inv, ln_principal, mul, real_array, row_norms
-from .calculus import batched_values, finite_value
+from .calculus import finite_value, values_at
 from .errors import (
     BoundaryZeroError,
     CdconfError,
@@ -398,31 +398,26 @@ def disc_samples(loop_center, radius, n, rng, a0=None, m=None, level=2):
 
 
 def _moduli(f, boundary: np.ndarray, samples: list):
-    """|f| on the boundary rows and on the samples.  A map with `apply_many`
-    is evaluated on all of them in one call; when that call raises or a
-    value is not finite, every point is evaluated again one at a time, so a
-    failure names the first bad point as PreconditionError."""
-    if hasattr(f, "apply_many") and all(
-            isinstance(z, CdNumber) and z.dim == boundary.shape[1] for z in samples):
-        try:
-            vals = batched_values(f, np.vstack([boundary, *(z.coeffs for z in samples)]))
-        except Exception:  # the per-point pass below reports it with its point
-            vals = None
-        if vals is not None:
-            norms = row_norms(vals)
-            return norms[:len(boundary)], norms[len(boundary):]
+    """|f| on the boundary rows and on the samples, all evaluated by one
+    values_at call; a failure names its point as PreconditionError."""
+    n = len(boundary)
 
-    def modulus(z):
+    def value(idx):
+        z = CdNumber(boundary[idx[0]]) if idx[0] < n else samples[idx[0] - n]
         try:
             w = f(z)
         except Exception as exc:
             raise PreconditionError(f"map not evaluable: {exc}", witness=z) from exc
         if not isinstance(w, CdNumber) or not np.all(np.isfinite(w.coeffs)):
             raise PreconditionError("non-finite value (pole?) at a sample", witness=z)
-        return w.norm()
+        return w.coeffs
 
-    return (np.array([modulus(CdNumber(row)) for row in boundary]),
-            np.array([modulus(z) for z in samples]))
+    if all(isinstance(z, CdNumber) and z.dim == boundary.shape[1] for z in samples):
+        norms = row_norms(values_at(f, np.vstack([boundary, *(z.coeffs for z in samples)]),
+                                    value))
+    else:  # no one array holds these samples
+        norms = np.array([CdNumber(value((k,))).norm() for k in range(n + len(samples))])
+    return norms[:n], norms[n:]
 
 
 def max_principle_check(f, gamma: PlanarLoop, interior_samples,

@@ -7,13 +7,9 @@ exactly.  classify_sequence applies the metric at a fixed finite
 resolution: its verdicts are evidence at that resolution, not proofs
 (finite grids cannot certify a limit).
 
-A map is any callable on CdNumber, evaluated node by node.  It opts into
-one evaluation on the (N, 2^r) node array with `apply_many` (MoebiusWord,
-AffineMap), its Jacobians then coming from `jacobian_at` at every node or
-from central differences on one (2, N, 2^r, 2^r) stencil; setting
-`constant_jacobian` too (AffineMap) has `jacobian_at` evaluated once.
-`jacobian_at` alone never means constant.  A batch that is not finite is
-recomputed node by node, so errors name the node the per-point path names.
+Maps follow the protocol of calculus.values_at: `apply_many` evaluates
+all nodes (and their stencils) at once, `jacobian_at` gives exact
+derivatives, and `constant_jacobian` keeps one Jacobian per map.
 """
 
 from __future__ import annotations
@@ -25,10 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import CdNumber, mul, mul_coeffs
-from .calculus import (DEFAULT_STEP, RealJacobian, batched_values, central_differences,
-                       central_stencil, finite_value, jacobian, left_mul_matrix,
-                       right_mul_matrix)
-from .errors import DimensionError, DomainError
+from .calculus import (DEFAULT_STEP, RealJacobian, central_differences, central_stencil,
+                       finite_value, left_mul_matrix, right_mul_matrix, values_at)
+from .errors import DimensionError, DomainError, EvaluationError
 
 __all__ = [
     "CompactGrid",
@@ -144,34 +139,30 @@ class AffineMap:
         return RealJacobian(z.level, left_mul_matrix(self.a) @ right_mul_matrix(self.b))
 
 
-def _pointwise_features(f, nodes: np.ndarray, step: float):
-    vals = np.empty_like(nodes)
-    jacs = np.empty((len(nodes), nodes.shape[1], nodes.shape[1]))
-    analytic = getattr(f, "jacobian_at", None)
-    for k, row in enumerate(nodes):
-        z = CdNumber(row)
-        vals[k] = finite_value(f, z, "map not evaluable on a grid node").coeffs
-        jacs[k] = (analytic(z) if analytic else jacobian(f, z, step)).entries
-    return vals, jacs
-
-
 def _features(f, nodes: np.ndarray, step: float):
     """Values (N, dim) and Jacobians (N, dim, dim) of f on all nodes; a
-    constant Jacobian is kept once, as a (1, dim, dim) stack."""
-    vals = batched_values(f, nodes)
-    if vals is None:
-        return _pointwise_features(f, nodes, step)
+    constant Jacobian is kept once, as a (1, dim, dim) stack.  Without
+    `jacobian_at`, f is evaluated on each node followed by its central
+    stencil, the order in which a per-node pass meets a bad point."""
     analytic = getattr(f, "jacobian_at", None)
+    n, dim = nodes.shape
+    pts = nodes if analytic else np.concatenate(
+        [nodes[:, None], central_stencil(nodes, step).reshape(n, 2 * dim, dim)], axis=1)
+
+    def value(idx):
+        on_node = analytic or idx[1] == 0
+        what = "map not evaluable on a grid node" if on_node else "non-finite sample in jacobian"
+        return finite_value(f, CdNumber(pts[idx]), what).coeffs
+
+    out = values_at(f, pts, value)
     if analytic:
         rows = nodes[:1] if getattr(f, "constant_jacobian", False) else nodes
-        return vals, np.array([analytic(CdNumber(row)).entries for row in rows])
-    samples = batched_values(f, central_stencil(nodes, step))
-    if samples is not None:
-        with np.errstate(all="ignore"):
-            jacs = central_differences(samples, step)
-        if np.all(np.isfinite(jacs)):
-            return vals, jacs
-    return _pointwise_features(f, nodes, step)
+        return out, np.array([analytic(CdNumber(row)).entries for row in rows])
+    with np.errstate(all="ignore"):
+        jacs = central_differences(out[:, 1:].reshape(n, dim, 2, dim), step)
+    if not np.all(np.isfinite(jacs)):
+        raise EvaluationError("non-finite Jacobian entries")
+    return np.ascontiguousarray(out[:, 0]), jacs
 
 
 def _rho_from_features(fa, fb) -> np.ndarray:
@@ -199,9 +190,8 @@ def _distances(feats) -> np.ndarray:
 def rho(f, g, grid: CompactGrid) -> RhoValue:
     """Pointwise-plus-derivative proximity of f and g over the grid.
 
-    Maps may expose `jacobian_at(z)` for exact derivatives; otherwise
-    central differences at the grid's step are used.  `apply_many` and
-    `constant_jacobian` batch the work (see the module docstring).
+    Derivatives come from `jacobian_at` when the map has it, else from
+    central differences at the grid's step (see calculus.values_at).
     """
     nodes = grid.nodes()
     fa = _features(f, nodes, grid.step)

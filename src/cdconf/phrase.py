@@ -294,6 +294,10 @@ class Phrase:
     def __setattr__(self, *_):
         raise AttributeError("Phrase is immutable")
 
+    def __reduce__(self):
+        # rebuilt from its words, so a copy starts with no derived phrases
+        return Phrase, (_terms(self),)
+
     # -- container basics ---------------------------------------------------
 
     @property
@@ -386,6 +390,9 @@ class Phrase:
 
     def eval(self, z, h=None):
         return eval_phrase(self, z, h)
+
+    # a phrase is a map of z: on a CdNumber, or batched on an (..., 2^r) array
+    __call__ = apply_many = eval
 
     def derivative_at_one(self, var: int = 1) -> "Phrase":
         return derivative_at_one(self, var)

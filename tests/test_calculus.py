@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, exp, inv, mul
 from cdconf.calculus import (
     OctGivensFactorization,
@@ -78,14 +79,18 @@ def _pointwise_jacobian(f, z, step):
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]))
-def test_batched_word_jacobian_equals_the_per_point_loop(seed, level):
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["word", "phrase"]))
+def test_batched_word_jacobian_equals_the_per_point_loop(seed, level, kind):
     rng = np.random.default_rng(seed)
     dim = 1 << level
     mid = (MulQ(cd(rng.normal(size=4)), cd(rng.normal(size=4))) if level == 2 else
            RotO(((0, 3, float(rng.uniform(-3, 3))), (2, 6, float(rng.uniform(-3, 3))))))
     w = MoebiusWord([Shift(cd(rng.normal(size=dim))), Inv(), mid,
                      Shift(cd(rng.normal(size=dim)))], level)
+    if kind == "phrase":
+        a, b = (ph.const(cd(rng.normal(size=dim))) for _ in range(2))
+        w = (a * ph.z(2)) * (ph.zc() * b) + ph.z(3) * a
     z = cd(rng.normal(size=dim))
     step = float(10.0 ** rng.uniform(-6, -3))
     assert jacobian(w, z, step).entries.tobytes() == _pointwise_jacobian(w, z, step).tobytes()

@@ -409,12 +409,15 @@ def _random_map(rng, kind, level):
     a, b, c = (rand_cd(rng, level) for _ in range(3))
     if kind == "affine":
         return AffineMap(a, b, c)
+    if kind == "phrase":
+        a, b, c = (ph.const(x) for x in (a, b, c))
+        return (a * ph.z()) * (ph.z() * b) + ph.zc() * c
     return lambda z: mul(mul(a, z), mul(z, b)) + c
 
 
 @settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["word", "affine", "lambda"]), level=st.sampled_from([2, 3]),
-       seed=st.integers(0, 2 ** 32 - 1))
+@given(kind=st.sampled_from(["word", "affine", "lambda", "phrase"]),
+       level=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
 def test_max_principle_batched_equals_per_point(kind, level, seed):
     rng = np.random.default_rng(seed)
     loop, samples = _random_disc(rng, level)

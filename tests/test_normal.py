@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, mul
-from cdconf.calculus import RealJacobian, finite_value, left_mul_matrix
+from cdconf.calculus import RealJacobian, finite_value, jacobian, left_mul_matrix
 from cdconf.errors import DimensionError, DomainError, EvaluationError
 from cdconf.moebius import Inv, MoebiusWord, MulQ, RotO, Shift, compose
 from cdconf.normal import (MAX_LATTICE_POINTS, AffineMap, CompactGrid, _distances, _features,
@@ -284,12 +285,15 @@ def _family(rng, kind, level):
     if kind == "lambda":
         a = cd(rng.normal(size=dim))
         return lambda z: mul(mul(a, z), z)
+    if kind == "phrase":
+        a, b = (ph.const(cd(rng.normal(size=dim))) for _ in range(2))
+        return (a * ph.z()) * (ph.z() * b) + ph.zc(2) * a
     return _Swirl()
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
-       kind=st.sampled_from(["affine", "word", "lambda", "swirl"]))
+       kind=st.sampled_from(["affine", "word", "lambda", "swirl", "phrase"]))
 def test_batched_features_equal_the_per_node_path(seed, level, kind):
     rng = np.random.default_rng(seed)
     f = _family(rng, kind, level)
@@ -446,3 +450,29 @@ def test_overflowing_jacobian_is_refused(f, grid):
 def test_mixed_levels_raise_the_per_point_error(f, grid, message):
     with pytest.raises(DimensionError, match=message):
         rho(f, f, grid)
+
+
+class _RaisingBatch:
+    """A word whose batch raises an error other than DimensionError."""
+
+    def __init__(self, word):
+        self.word, self.calls = word, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.word(z)
+
+    def apply_many(self, pts):
+        raise RuntimeError("batch failed")
+
+
+def test_a_raising_batch_falls_back_to_the_per_point_path():
+    rng = np.random.default_rng(5)
+    word = _family(rng, "word", 2)
+    f = _RaisingBatch(word)
+    nodes = CompactGrid(CdNumber.zero(2), 0.5, per_axis=3).nodes()
+    assert _same_bytes(_features(f, nodes, 1e-5), _features(word, nodes, 1e-5), nodes)
+    assert f.calls == len(nodes) * (1 + 2 * 4)  # each node and its stencil
+    z = CdNumber(nodes[0])
+    assert jacobian(f, z).entries.tobytes() == jacobian(word, z).entries.tobytes()
+    assert f.calls == len(nodes) * (1 + 2 * 4) + 2 * 4

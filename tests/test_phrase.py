@@ -593,6 +593,18 @@ def test_mul_hash_survives_copies():
     assert copies[0] == copies[1] == copies[2] == tree
 
 
+@pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy,
+                                 lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_phrase_copies_and_pickles(dup):
+    nu = ph.parse("z^2 [0,1,0,0]")
+    nu.antiderive()
+    got = dup(nu)
+    assert got == nu and hash(got) == hash(nu) and got._derived == {}
+    z = cd([0.3, -0.2, 0.7, 0.1])
+    assert got(z).coeffs.tobytes() == nu(z).coeffs.tobytes()
+
+
 def test_mul_repr_is_unchanged():
     assert repr(ph.Mul(ph.ZPow(2), ph.E(3))) == "Mul(left=ZPow(p=2, var=1), right=E(var=3))"
 
