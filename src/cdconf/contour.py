@@ -3,9 +3,9 @@
 Loops live in affine planes a0 + R + R*M with a directing unit imaginary
 element M; they are closed polylines given by in-plane coordinates (x, y).
 The line-integral operator realizes the partition sums of the operator
-kernel (the hat of the phrase's antiderivative) with per-segment Gauss
-nodes and dyadic refinement; for a one-sided tagged sum the limit is the
-same but first-order slow, so the segment rule is used instead.
+kernel (the hat of the phrase's antiderivative) on degree-exact Gauss nodes
+(at most 8), refined dyadically; for a one-sided tagged sum the limit is
+the same but first-order slow, so the segment rule is used instead.
 
 Winding numbers of the polylines themselves are exact (per-segment phase
 increments never reach pi for an off-curve reference point).  Image curves
@@ -17,6 +17,7 @@ directional derivative of f.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -161,48 +162,59 @@ class PlanarLoop(PlanarPath):
 # line integral
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GAUSS_NODES = (_GAUSS_NODES + 1.0) / 2.0
-_GAUSS_WEIGHTS = _GAUSS_WEIGHTS / 2.0
+# n-node Gauss-Legendre rules on [0, 1], n = 1 .. 8; the n-node rule is
+# exact for polynomials of degree 2n - 1 (Golub & Welsch 1969)
+_GAUSS_RULES = [((x + 1.0) / 2.0, w / 2.0)
+                for x, w in map(np.polynomial.legendre.leggauss, range(1, 9))]
 MAX_PARTITION_SEGMENTS = 2 ** 12  # line_integral refines no further
+MAX_ZERO_CELLS = 2 ** 12  # locate_zeros counts zeros in no more cells
 
 
-def _partition_sum(kernel: Phrase, path: PlanarPath) -> np.ndarray:
-    verts = path.embedded()
-    deltas = np.diff(verts, axis=0)  # (nseg, dim)
+def _partition_sums(kernel: Phrase, paths: list, rule) -> list:
+    """The rule's partition sum of the kernel over each path, all from one
+    kernel call on the concatenated (segments, nodes, dim) points."""
+    nodes, weights = rule
+    verts = [path.embedded() for path in paths]
+    starts = np.concatenate([v[:-1] for v in verts])
+    deltas = np.concatenate([np.diff(v, axis=0) for v in verts])  # (nseg, dim)
     # evaluation points: nseg x nodes, each segment traversed by Gauss nodes
-    pts = verts[:-1, None, :] + _GAUSS_NODES[None, :, None] * deltas[:, None, :]
+    pts = starts[:, None, :] + nodes[None, :, None] * deltas[:, None, :]
     hs = np.broadcast_to(deltas[:, None, :], pts.shape)
     vals = kernel.eval(pts, h=hs)  # (nseg, nodes, dim)
-    return np.einsum("j,ijk->k", _GAUSS_WEIGHTS, vals)
+    ends = np.cumsum([len(v) - 1 for v in verts])[:-1]
+    return [np.einsum("j,ijk->k", weights, part) for part in np.split(vals, ends)]
 
 
 def line_integral(nu: Phrase, gamma: PlanarPath, refine: float = 1e-10,
                   side: str = "left", max_levels: int = 20) -> CdNumber:
     """Integral of the phrase nu along the polyline.
 
-    The integrand is the operator kernel hat(nu) applied to the segment
-    displacements; each segment contributes a Gauss-rule tagged sum, and
-    the partition is refined dyadically until two successive estimates
-    agree within `refine`; QuadratureError, with the last two estimates,
-    stops it before the partition exceeds MAX_PARTITION_SEGMENTS segments.
-    Closed paths of z-only phrases integrate to zero; open paths reproduce
-    the endpoint difference of the antiderivative (branch chosen by `side`).
+    The integrand, the operator kernel hat(nu) on the segment displacements,
+    is on each segment a polynomial of nu's z-degree d, summed on
+    d // 2 + 1 degree-exact Gauss nodes (at most 8), refined dyadically
+    until two successive estimates agree within `refine`; QuadratureError,
+    with the last two estimates, stops it before the partition exceeds
+    MAX_PARTITION_SEGMENTS segments.  Closed paths of z-only phrases
+    integrate to zero; open paths reproduce the endpoint difference of the
+    antiderivative (branch chosen by `side`).
     """
     kernel = hat_operator(nu, side=side)
-    path = gamma
-    prev = cur = _partition_sum(kernel, path)
-    for _ in range(max_levels):
-        if 2 * (len(path.pts) - 1) > MAX_PARTITION_SEGMENTS:
-            break
-        path = path.refined()
-        cur = _partition_sum(kernel, path)
-        if np.linalg.norm(cur - prev) <= refine:
-            return CdNumber(cur)
-        prev = cur
+    # hat(nu) has nu's z-degree, and nu has far fewer words to walk
+    rule = _GAUSS_RULES[min(nu.max_degree() // 2, len(_GAUSS_RULES) - 1)]
+    # gamma, then the refinements that keep within MAX_PARTITION_SEGMENTS segments
+    fits = (MAX_PARTITION_SEGMENTS // (len(gamma.pts) - 1)).bit_length() - 1
+    paths = itertools.accumulate(range(max(min(max_levels, fits), 0)),
+                                 lambda path, _: path.refined(), initial=gamma)
+    sums, batch = [], list(itertools.islice(paths, 2))
+    while batch:
+        for cur in _partition_sums(kernel, batch, rule):
+            if sums and np.linalg.norm(cur - sums[-1]) <= refine:
+                return CdNumber(cur)
+            sums.append(cur)
+        batch = list(itertools.islice(paths, 1))
     raise QuadratureError(
         "partition refinement did not converge",
-        estimates=(CdNumber(prev), CdNumber(cur)),
+        estimates=(CdNumber(sums[max(len(sums) - 2, 0)]), CdNumber(sums[-1])),
     )
 
 
@@ -473,47 +485,48 @@ class PlaneRect:
         return max(self.x1 - self.x0, self.y1 - self.y0)
 
 
-def _cell_count(f, rect: PlaneRect, boundary_tol: float) -> int:
-    return count_zeros(f, rect.boundary(), boundary_tol)
-
-
 def locate_zeros(f, rect: PlaneRect, min_cell: float,
                  boundary_tol: float = 1e-9) -> list:
     """Quadtree localization of zeros inside the rectangle.
 
-    Returns (center, order) pairs for cells of size at most min_cell.
-    A zero sitting on a subdivision line triggers one jitter of the cut by
-    min_cell / 7; a second failure propagates BoundaryZeroError.  The total
-    order is conserved across every split.
+    Returns (center, order) pairs for cells of size at most min_cell, in
+    depth-first order.  A zero sitting on a subdivision line triggers one
+    jitter of the cut by min_cell / 7; a second failure propagates
+    BoundaryZeroError.  The total order is conserved across every split.
+    Counting zeros in more than MAX_ZERO_CELLS cells raises DomainError.
     """
-    total = _cell_count(f, rect, boundary_tol)
-    if total == 0:
-        return []
-    if rect.size() <= min_cell:
-        return [(rect.center_point(), total)]
+    cells_left = MAX_ZERO_CELLS
 
-    def children(mx, my):
-        return [
-            PlaneRect(rect.a0, rect.m, rect.x0, mx, rect.y0, my),
-            PlaneRect(rect.a0, rect.m, mx, rect.x1, rect.y0, my),
-            PlaneRect(rect.a0, rect.m, rect.x0, mx, my, rect.y1),
-            PlaneRect(rect.a0, rect.m, mx, rect.x1, my, rect.y1),
-        ]
+    def count(cell: PlaneRect) -> int:
+        nonlocal cells_left
+        if cells_left == 0:
+            raise DomainError(f"zero localization needs more than {MAX_ZERO_CELLS} cells")
+        cells_left -= 1
+        return count_zeros(f, cell.boundary(), boundary_tol)
 
-    mx, my = (rect.x0 + rect.x1) / 2.0, (rect.y0 + rect.y1) / 2.0
-    try:
-        cells = children(mx, my)
-        counts = [_cell_count(f, c, boundary_tol) for c in cells]
-    except BoundaryZeroError:
-        jitter = min_cell / 7.0
-        cells = children(mx + jitter, my + jitter)
-        counts = [_cell_count(f, c, boundary_tol) for c in cells]
-    if sum(counts) != total:
-        raise BoundaryZeroError(
-            f"subdivision lost zeros ({total} -> {sum(counts)}); "
-            "a zero may sit on a cell boundary")
-    out = []
-    for cell, cnt in zip(cells, counts):
-        if cnt:
-            out.extend(locate_zeros(f, cell, min_cell, boundary_tol))
+    def children(rect, mx, my):
+        return [PlaneRect(rect.a0, rect.m, *xs, *ys) for ys in ((rect.y0, my), (my, rect.y1))
+                for xs in ((rect.x0, mx), (mx, rect.x1))]
+
+    out, todo = [], [(rect, count(rect))]
+    while todo:
+        rect, total = todo.pop()
+        if total == 0:
+            continue
+        if rect.size() <= min_cell:
+            out.append((rect.center_point(), total))
+            continue
+        mx, my = (rect.x0 + rect.x1) / 2.0, (rect.y0 + rect.y1) / 2.0
+        try:
+            cells = children(rect, mx, my)
+            counts = [count(c) for c in cells]
+        except BoundaryZeroError:
+            jitter = min_cell / 7.0
+            cells = children(rect, mx + jitter, my + jitter)
+            counts = [count(c) for c in cells]
+        if sum(counts) != total:
+            raise BoundaryZeroError(
+                f"subdivision lost zeros ({total} -> {sum(counts)}); "
+                "a zero may sit on a cell boundary")
+        todo.extend(reversed(list(zip(cells, counts))))
     return out

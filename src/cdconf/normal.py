@@ -149,20 +149,33 @@ def _features(f, nodes: np.ndarray, step: float):
     pts = nodes if analytic else np.concatenate(
         [nodes[:, None], central_stencil(nodes, step).reshape(n, 2 * dim, dim)], axis=1)
 
+    stencil = np.empty((2 * dim, dim))  # the point-by-point samples of one node
+
     def value(idx):
         on_node = analytic or idx[1] == 0
         what = "map not evaluable on a grid node" if on_node else "non-finite sample in jacobian"
-        return finite_value(f, CdNumber(pts[idx]), what).coeffs
+        w = finite_value(f, CdNumber(pts[idx]), what).coeffs
+        if not on_node:  # a node's Jacobian is checked once its stencil is in
+            stencil[idx[1] - 1] = w
+            if idx[1] == 2 * dim:
+                _stencil_jacobians(stencil.reshape(dim, 2, dim), step)
+        return w
 
     out = values_at(f, pts, value)
     if analytic:
         rows = nodes[:1] if getattr(f, "constant_jacobian", False) else nodes
         return out, np.array([analytic(CdNumber(row)).entries for row in rows])
+    return np.ascontiguousarray(out[:, 0]), _stencil_jacobians(
+        out[:, 1:].reshape(n, dim, 2, dim), step)
+
+
+def _stencil_jacobians(samples: np.ndarray, step: float) -> np.ndarray:
+    """central_differences of stencil samples; EvaluationError unless finite."""
     with np.errstate(all="ignore"):
-        jacs = central_differences(out[:, 1:].reshape(n, dim, 2, dim), step)
+        jacs = central_differences(samples, step)
     if not np.all(np.isfinite(jacs)):
         raise EvaluationError("non-finite Jacobian entries")
-    return np.ascontiguousarray(out[:, 0]), jacs
+    return jacs
 
 
 def _rho_from_features(fa, fb) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdconf import contour
 from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, inv, mul
 from cdconf.contour import (
@@ -35,7 +36,7 @@ from cdconf.errors import (
 )
 from cdconf.moebius import Inv, MoebiusWord, MulQ, Shift, apply_word
 from cdconf.normal import AffineMap
-from cdconf.suites import rand_cd, rand_imag_unit, random_word
+from cdconf.suites import rand_cd, rand_imag_unit, random_phrase, random_word
 
 
 I1 = CdNumber.basis(1, 2)
@@ -127,12 +128,24 @@ def test_integral_respects_branch(rng):
 def test_integral_nonconvergence_error():
     seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.0, 0.0), n=2)
     with pytest.raises(QuadratureError) as err:
-        line_integral(ph.parse("z^3"), seg, refine=0.0, max_levels=1)
+        line_integral(ph.parse("z^17"), seg, refine=0.0, max_levels=1)
     assert err.value.estimates is not None
 
 
+def test_nonconvergence_reports_the_last_two_estimates():
+    seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.0, 0.0), n=2)
+    nu = ph.parse("z^17")
+    with pytest.raises(QuadratureError) as err:
+        line_integral(nu, seg, refine=0.0, max_levels=2)
+    sums = contour._partition_sums(ph.hat_operator(nu), [seg.refined(), seg.refined().refined()],
+                                   contour._GAUSS_RULES[7])
+    assert [e.coeffs.tobytes() for e in err.value.estimates] == [s.tobytes() for s in sums]
+    assert err.value.estimates[0] != err.value.estimates[1]
+
+
 def test_integral_partition_stays_bounded():
-    # refine 0 never converges; the partition stops at MAX_PARTITION_SEGMENTS
+    # refine 0 never converges: on this off-axis segment successive estimates
+    # differ by rounding, so the partition stops at MAX_PARTITION_SEGMENTS
     seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.6, 0.8), n=16)
     tracemalloc.start()
     try:
@@ -151,6 +164,68 @@ def test_integral_refuses_to_refine_past_the_segment_bound():
         line_integral(ph.parse("z"), seg, refine=0.0)
     first, last = err.value.estimates
     assert first == last  # the one partition built, nothing finer
+
+
+def _kernel_calls(monkeypatch):
+    """Shapes of the points of every phrase evaluation from now on."""
+    shapes, evaluate = [], ph.eval_phrase
+
+    def spy(phrase, z, h=None):
+        shapes.append(np.shape(z))
+        return evaluate(phrase, z, h)
+
+    monkeypatch.setattr(ph, "eval_phrase", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_n_gauss_nodes_integrate_degree_2n_minus_1_exactly(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    a, b, c = (ph.const(cd(rng.normal(size=4))) for _ in range(3))
+    nu = a * ph.z(2 * n - 1) * b + (ph.z(n) * c * ph.z(n - 1) if n > 1 else ph.z() * c)
+    assert nu.max_degree() == 2 * n - 1
+    seg = PlanarPath.segment(ZERO, I2, (-0.6, 0.3), (0.5, -0.4), n=1)
+    mu = nu.antiderive()
+    want = (ph.eval_phrase(mu, seg.point(1)) - ph.eval_phrase(mu, seg.point(0))).coeffs
+    one, = contour._partition_sums(ph.hat_operator(nu), [seg], contour._GAUSS_RULES[n - 1])
+    assert len(contour._GAUSS_RULES[n - 1][0]) == n
+    assert np.linalg.norm(one - want) <= 1e-13
+    shapes = _kernel_calls(monkeypatch)
+    val = line_integral(nu, seg, refine=1.0)
+    assert shapes == [(3, n, 4)]  # the segment and its two halves, n nodes each
+    assert np.linalg.norm(val.coeffs - want) <= 1e-13
+
+
+def test_a_degree_past_the_8_node_rule_still_refines(monkeypatch):
+    nu = ph.parse("z^24")
+    seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.2, 0.4), n=1)
+    mu = nu.antiderive()
+    want = ph.eval_phrase(mu, seg.point(1)) - ph.eval_phrase(mu, seg.point(0))
+    shapes = _kernel_calls(monkeypatch)
+    val = line_integral(nu, seg, refine=1e-9)
+    # the 8-node rule is off by 7e-4 on one segment and 8e-8 on two
+    assert shapes == [(3, 8, 4), (4, 8, 4), (8, 8, 4)]
+    assert (val - want).norm() <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
+       degree=st.integers(1, 17), nseg=st.integers(1, 40))
+def test_batched_levels_equal_the_per_level_sums(seed, level, degree, nseg):
+    rng = np.random.default_rng(seed)
+    kernel = ph.hat_operator(random_phrase(rng, level=level, max_words=2, max_degree=degree))
+    rule = contour._GAUSS_RULES[min(kernel.max_degree() // 2, 7)]
+    pts = rng.uniform(-1.0, 1.0, size=(nseg + 1, 2))
+    path = PlanarPath(CdNumber.zero(level), rand_imag_unit(rng, level), pts)
+    batched = contour._partition_sums(kernel, [path, path.refined()], rule)
+    apart = [contour._partition_sums(kernel, [p], rule)[0] for p in (path, path.refined())]
+    assert [s.tobytes() for s in batched] == [s.tobytes() for s in apart]
+
+
+def test_two_exact_estimates_of_z3_agree_bit_for_bit():
+    seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.0, 0.0), n=2)
+    val = line_integral(ph.parse("z^3"), seg, refine=0.0, max_levels=1)
+    assert val.coeffs.tolist() == [0.25, 0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +641,29 @@ def test_subdivision_conserves_order():
     rect = PlaneRect(ZERO, I1, -1, 1.1, -1, 1.05)
     found = locate_zeros(f, rect, min_cell=0.05)
     assert sum(order for _, order in found) == 3
+
+
+def test_locating_zeros_stops_at_the_cell_budget(monkeypatch):
+    zeros = [CdNumber.real(x, 2) + I1 * y for x, y in ((0.5, 0.1), (-0.4, 0.3), (0.1, -0.6))]
+    calls, count = [], contour.count_zeros
+
+    def f(z):
+        return mul(mul(z - zeros[0], z - zeros[1]), z - zeros[2])
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(contour, "count_zeros", counted)
+    rect = PlaneRect(ZERO, I1, -1, 1.1, -1, 1.05)
+    found = locate_zeros(f, rect, min_cell=1e-3)
+    assert [order for _, order in found] == [1, 1, 1]
+    assert len(calls) < contour.MAX_ZERO_CELLS // 16
+    monkeypatch.setattr(contour, "MAX_ZERO_CELLS", len(calls) - 1)
+    calls.clear()
+    with pytest.raises(DomainError, match="more than"):
+        locate_zeros(f, rect, min_cell=1e-3)
+    assert len(calls) == contour.MAX_ZERO_CELLS
 
 
 def test_homotopy_invariance(rng):

@@ -439,6 +439,30 @@ def test_overflowing_jacobian_is_refused(f, grid):
             rho(f, f, grid)
 
 
+class _OverflowThenPole:
+    """+-1e308 around node 0, so its central differences overflow, and NaN
+    at node 1; `batched` adds an apply_many whose batch is not finite."""
+
+    def __init__(self, batched):
+        if batched:
+            self.apply_many = lambda pts: np.full(pts.shape, np.nan)
+
+    def __call__(self, z):
+        x = z.coeffs
+        return CdNumber(np.full(4, np.nan if x[0] > 0.5 else 1e308 * np.sign(x.sum())))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_an_overflowing_jacobian_is_named_before_a_later_pole(batched):
+    nodes = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0]])
+    f = _OverflowThenPole(batched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the differences overflow
+        for features in (_features, _reference_features):
+            with pytest.raises(EvaluationError, match="non-finite Jacobian entries"):
+                features(f, nodes, 1e-5)
+
+
 @pytest.mark.parametrize("f, grid, message", [
     (AffineMap(CdNumber.one(2), CdNumber.one(2), CdNumber.zero(2)),
      CompactGrid(CdNumber.zero(3), 1.0, 16), "level mismatch: 2 vs 3"),
