@@ -199,7 +199,7 @@ def line_integral(nu: Phrase, gamma: PlanarPath, refine: float = 1e-10,
     antiderivative (branch chosen by `side`).
     """
     kernel = hat_operator(nu, side=side)
-    # hat(nu) has nu's z-degree, and nu has far fewer words to walk
+    # hat(nu) has nu's z-degree, and nu has far fewer words
     rule = _GAUSS_RULES[min(nu.max_degree() // 2, len(_GAUSS_RULES) - 1)]
     # gamma, then the refinements that keep within MAX_PARTITION_SEGMENTS segments
     fits = (MAX_PARTITION_SEGMENTS // (len(gamma.pts) - 1)).bit_length() - 1

@@ -19,6 +19,16 @@ Normalizations applied on construction:
 
 Words consisting of constants only are not admitted into a phrase.
 
+Nodes are hash-consed: every leaf and product is built through one weak
+intern table, so equal subtrees are one object, and each node computes its
+facts (hash, z-degree, constant level, whether it is normal, its rendered
+text and the kinds of its leaves) once, when it is made.  Normalization
+stops at a normal subtree, words sort on the cached text, and degree and
+kind queries read the facts instead of walking the tree.  A phrase keeps,
+next to its antiderivatives and hat operators, the straight-line program
+that evaluates it: compiled on the first call, it lists the distinct
+products in evaluation order with their slots and last uses.
+
 Differentiation at 1 maps z^p to p z^{p-1} and z to the marker e;
 antidifferentiation inverts it exactly (word for word) through the
 telescoping series
@@ -36,8 +46,9 @@ from __future__ import annotations
 
 import re as _re
 import warnings
+import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -86,24 +97,102 @@ __all__ = [
 # expression nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+# The intern table: the live node of each key, held weakly, so an entry
+# leaves with its node.  A Mul is keyed by the ids of its children, which
+# are alive while it is; a constant by the bytes of its values, so
+# [-0, 1, 0, 0] and [0, 1, 0, 0] stay two nodes that compare equal, and
+# each renders as it was written; a marker or a power by its numbers and
+# their types, so z^2.0 does not become z^2.
+_TABLE: dict = {}
+_MIXED = -1  # the level fact of a subtree holding constants of two levels
+_FACTS = ("_hash", "_degree", "_level", "_normal", "_text", "_kinds")
+
+
+def _forget(ref):
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+class _Node:
+    """Base of the interned nodes.  The facts of a node: its hash, its
+    z-degree, its constant level (None without constants), whether it is
+    normal (normalization returns it unchanged), its rendered text (the
+    sort key of words) and the (leaf class, var) kinds of the non-constant
+    leaves below it.  Equality stays structural, so nodes built apart
+    still compare equal: constants that differ only in the signs of
+    zeros, equal numbers of different types, and a node that two threads
+    build at once."""
+
+    __slots__ = ("__weakref__",) + _FACTS
+
+    @classmethod
+    def _interned(cls, key, args):
+        """The live node of this key, or a new one with these field values."""
+        ref = _TABLE.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__dataclass_fields__, args):
+                object.__setattr__(node, name, value)
+            for name, value in zip(_FACTS, node._facts()):
+                object.__setattr__(node, name, value)
+            _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._args() == other._args()
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the table, so a copy or an unpickled node is the
+        # live node
+        return self.__class__, self._args()
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Const(_Node):
+    __slots__ = ("values",)
     values: tuple
+
+    def __new__(cls, values):
+        arr = np.array(values, dtype=float)
+        return cls._interned((cls, arr.tobytes()), (tuple(arr.tolist()),))
+
+    def _facts(self) -> tuple:
+        return (hash(self.values), 0, len(self.values).bit_length() - 1,
+                bool(np.asarray(self.values[1:]).any()), _render_leaf(self), frozenset())
 
     @classmethod
     def of(cls, x: CdNumber) -> "Const":
-        return cls(tuple(float(v) for v in x.coeffs))
+        return cls(x.coeffs)
 
     @property
     def number(self) -> CdNumber:
         return CdNumber(self.values)
 
 
-@dataclass(frozen=True)
-class _Marker:
+@dataclass(frozen=True, init=False, eq=False)
+class _Marker(_Node):
     """A leaf of one variable: a marker (e, ec) or an operator slot (I, Ic)."""
 
-    var: int = 1
+    __slots__ = ("var",)
+    var: int
+
+    def __new__(cls, var=1):
+        return cls._interned((cls, var, type(var)), (var,))
+
+    def _facts(self) -> tuple:
+        return (hash((self.symbol, self.var)), 0, None, True, _render_leaf(self),
+                frozenset({(self.__class__, self.var)}))
 
 
 class E(_Marker):
@@ -122,16 +211,22 @@ class OneOpC(_Marker):
     symbol = "Ic"
 
 
-@dataclass(frozen=True)
-class _Power:
+@dataclass(frozen=True, init=False, eq=False)
+class _Power(_Node):
     """A power z^p or zc^p of one variable."""
 
+    __slots__ = ("p", "var")
     p: int
-    var: int = 1
+    var: int
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __new__(cls, p, var=1):
+        if p < 1:
             raise PhraseSemanticError("powers must be >= 1")
+        return cls._interned((cls, p, var, type(p), type(var)), (p, var))
+
+    def _facts(self) -> tuple:
+        return (hash((self.symbol, self.p, self.var)), self.p, None, True,
+                _render_leaf(self), frozenset({(self.__class__, self.var)}))
 
 
 class ZPow(_Power):
@@ -142,25 +237,36 @@ class ZcPow(_Power):
     symbol = "zc"
 
 
-@dataclass(frozen=True)
-class Mul:
-    """A product node.  Its hash is computed once, on construction, so a
-    dict lookup does not walk the tree below it; equality stays
-    structural."""
+@dataclass(frozen=True, init=False, eq=False)
+class Mul(_Node):
+    """A product node; its facts combine those of its two children."""
 
+    __slots__ = ("left", "right")
     left: object
     right: object
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __new__(cls, left, right):
+        return cls._interned((id(left), id(right)), (left, right))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy or an unpickled tree hashes anew
-        return Mul, (self.left, self.right)
+    def _facts(self) -> tuple:
+        left, right = self.left, self.right
+        for child in (left, right):
+            if not isinstance(child, _Node):
+                raise PhraseSemanticError(f"unknown phrase node {child!r}")
+        ll, rl = left._level, right._level
+        level = rl if ll is None else ll if rl is None or rl == ll else _MIXED
+        normal = (left._normal and right._normal
+                  and not (isinstance(left, Const) and isinstance(right, Const))
+                  and not (isinstance(left, _Power) and type(left) is type(right)
+                           and left.var == right.var)
+                  and not (isinstance(left, ZcPow) and isinstance(right, ZPow)
+                           and left.var == right.var))
+        # most products add no new kind: share a child's set
+        kinds = (left._kinds if right._kinds <= left._kinds
+                 else right._kinds if left._kinds <= right._kinds
+                 else left._kinds | right._kinds)
+        return (hash((left, right)), left._degree + right._degree, level, normal,
+                f"({left._text} {right._text})", kinds)
 
 
 _SYMBOLS = {cls.symbol: cls for cls in (E, Ec, OneOp, OneOpC, ZPow, ZcPow)}
@@ -174,44 +280,29 @@ def _leaves(tree):
         yield tree
 
 
-def _tree_degree(tree) -> int:
-    return sum(leaf.p for leaf in _leaves(tree) if isinstance(leaf, _Power))
-
-
-def _tree_level(tree):
-    level = None
-    for leaf in _leaves(tree):
-        if isinstance(leaf, Const):
-            dim = len(leaf.values)
-            lv = dim.bit_length() - 1
-            if level is None:
-                level = lv
-            elif level != lv:
-                raise DimensionError("constants of different levels in one word")
-    return level
-
-
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
+
+_ONE = Fraction(1)
+
 
 def _normalize_tree(tree):
     """Return (Fraction coefficient, normalized tree or None).
 
     None means the subtree reduced to a pure real scalar, now carried by
-    the coefficient.
+    the coefficient.  A normal subtree returns at once, so only the local
+    rules run above it.
     """
+    if not isinstance(tree, _Node):
+        raise PhraseSemanticError(f"unknown phrase node {tree!r}")
+    if tree._normal:
+        return _ONE, tree
     if isinstance(tree, Const):
         arr = np.asarray(tree.values)
         if not arr.any():
             return Fraction(0), None
-        if not arr[1:].any():
-            return Fraction(arr[0]), None
-        return Fraction(1), tree
-    if isinstance(tree, (_Marker, _Power)):
-        return Fraction(1), tree
-    if not isinstance(tree, Mul):
-        raise PhraseSemanticError(f"unknown phrase node {tree!r}")
+        return Fraction(arr[0]), None
     cl, left = _normalize_tree(tree.left)
     cr, right = _normalize_tree(tree.right)
     coeff = cl * cr
@@ -242,32 +333,31 @@ class Word:
 
     @property
     def degree(self) -> int:
-        return _tree_degree(self.tree)
+        return self.tree._degree
 
     def render(self) -> str:
         return _render_word(self)
 
 
 def _make_words(raw) -> tuple:
-    """Normalize, combine and sort (coeff, tree) pairs into Word tuples."""
+    """Normalize, combine and sort (coeff, tree) pairs into Word tuples;
+    words sort by degree, then by text.  Of equal trees the first one
+    seen is kept."""
     combined = {}
-    order = {}
     for coeff, tree in raw:
         if coeff == 0:
             continue
-        c2, t2 = _normalize_tree(tree) if tree is not None else (Fraction(1), None)
-        c = Fraction(coeff) * c2
+        c2, t2 = _normalize_tree(tree) if tree is not None else (_ONE, None)
+        c = Fraction(coeff) if c2 is _ONE else Fraction(coeff) * c2
         if c == 0:
             continue
         if t2 is None:
             raise PhraseSemanticError("a word cannot consist of constants only")
-        key = t2
-        combined[key] = combined.get(key, Fraction(0)) + c
-        if key not in order:
-            order[key] = _render_tree(key)
-    words = [Word(c, t) for t, c in combined.items() if c != 0]
-    words.sort(key=lambda w: (w.degree, order[w.tree]))
-    return tuple(words)
+        prev = combined.get(t2)
+        combined[t2] = c if prev is None else prev + c
+    trees = sorted((t for t, c in combined.items() if c != 0),
+                   key=lambda t: (t._degree, t._text))
+    return tuple(Word(combined[t], t) for t in trees)
 
 
 class Phrase:
@@ -278,12 +368,15 @@ class Phrase:
 
     def __init__(self, words):
         object.__setattr__(self, "words", _make_words(words))
-        # antiderive and hat_operator results, keyed (op, side, var); not
-        # part of the value, so == and hash ignore it
+        # antiderive and hat_operator results, keyed (op, side, var), and
+        # the evaluation program; not part of the value, so == and hash
+        # ignore it
         object.__setattr__(self, "_derived", {})
         level = None
         for w in self.words:
-            lv = _tree_level(w.tree)
+            lv = w.tree._level
+            if lv == _MIXED:
+                raise DimensionError("constants of different levels in one word")
             if lv is not None:
                 if level is None:
                     level = lv
@@ -372,19 +465,10 @@ class Phrase:
         return max((w.degree for w in self.words), default=0)
 
     def has_operator(self) -> bool:
-        return any(
-            isinstance(leaf, (OneOp, OneOpC))
-            for w in self.words
-            for leaf in _leaves(w.tree)
-        )
+        return any(cls in (OneOp, OneOpC) for w in self.words for cls, _ in w.tree._kinds)
 
     def variables(self) -> set:
-        out = set()
-        for w in self.words:
-            for leaf in _leaves(w.tree):
-                if not isinstance(leaf, Const):
-                    out.add(leaf.var)
-        return out
+        return {var for w in self.words for _, var in w.tree._kinds}
 
     # -- calculus (delegating to module functions) ----------------------------
 
@@ -453,17 +537,9 @@ def _fmt_num(x: float) -> str:
 def _render_leaf(leaf) -> str:
     if isinstance(leaf, Const):
         return "[" + ", ".join(_fmt_num(v) for v in leaf.values) + "]"
-    if not isinstance(leaf, (_Marker, _Power)):
-        raise PhraseSemanticError(f"cannot render {leaf!r}")
     sub = "" if leaf.var == 1 else f"_{leaf.var}"
     power = f"^{leaf.p}" if isinstance(leaf, _Power) and leaf.p != 1 else ""
     return f"{leaf.symbol}{sub}{power}"
-
-
-def _render_tree(tree) -> str:
-    if isinstance(tree, Mul):
-        return f"({_render_tree(tree.left)} {_render_tree(tree.right)})"
-    return _render_leaf(tree)
 
 
 def _render_coeff(c: Fraction) -> str:
@@ -474,7 +550,7 @@ def _render_coeff(c: Fraction) -> str:
 
 def _render_word(w: Word) -> str:
     """Unsigned rendering of a word (the caller emits the sign)."""
-    body = _render_tree(w.tree)
+    body = w.tree._text
     mag = abs(w.coeff)
     if mag == 1:
         return body
@@ -635,7 +711,7 @@ def validate_function_phrase(phrase: Phrase):
     """Reject words made of constants only (builder atoms are exempt,
     parsed phrases are not)."""
     for w in phrase.words:
-        if all(isinstance(leaf, Const) for leaf in _leaves(w.tree)):
+        if not w.tree._kinds:
             raise PhraseSemanticError(
                 "a word must contain at least one non-constant symbol")
 
@@ -768,13 +844,100 @@ def _as_env(x) -> dict:
     return {1: arr}
 
 
-def _power(cache: dict, z: np.ndarray, p: int, key) -> np.ndarray:
-    got = cache.get((key, p))
-    if got is not None:
-        return got
-    out = z if p == 1 else mul_coeffs(_power(cache, z, p - 1, key), z)
-    cache[(key, p)] = out
-    return out
+def _compile(phrase: Phrase) -> tuple:
+    """The straight-line evaluation program of a phrase: (has_operator,
+    number of slots, words).
+
+    Each word is (coefficient, loads, products, root slot, drop), in the
+    order of evaluation.  The loads fill the slots of the leaves first met
+    in the word: (slot, "c", the constant's array), (slot, "e" or "ec",
+    var) for the one, and (slot, symbol, var) for I, Ic and the bases of
+    the power chains of z and zc.  The products are (dst, left, right,
+    dead); dead and drop list the product slots read for the last time by
+    that product and by the word's sum.  Equal product nodes share a slot;
+    z^p is the chain z^2 = z z, ..., z^p = z^{p-1} z.
+    """
+    products = {}  # product node -> slot; equal nodes share one
+    leaves = {}  # id of a leaf node -> slot
+    chains = {}  # (symbol, var) -> the slots of the powers 1, 2, ...
+    words = []
+    size = 0
+
+    def new_slot():
+        nonlocal size
+        size += 1
+        return size - 1
+
+    def power(leaf, loads, steps):
+        chain = chains.get((leaf.symbol, leaf.var))
+        if chain is None:
+            chain = chains[leaf.symbol, leaf.var] = [new_slot()]
+            loads.append((chain[0], leaf.symbol, leaf.var))
+        while len(chain) < leaf.p:
+            chain.append(new_slot())
+            steps.append((chain[-1], chain[-2], chain[0]))
+        return chain[leaf.p - 1]
+
+    def visit(node, loads, steps):
+        if isinstance(node, Mul):
+            slot = products.get(node)
+            if slot is None:
+                left = visit(node.left, loads, steps)
+                right = visit(node.right, loads, steps)
+                slot = products[node] = new_slot()
+                steps.append((slot, left, right))
+            return slot
+        slot = leaves.get(id(node))
+        if slot is None:
+            if isinstance(node, _Power):
+                slot = power(node, loads, steps)
+            elif isinstance(node, Const):
+                slot = new_slot()
+                loads.append((slot, "c", np.asarray(node.values)))
+            else:
+                slot = new_slot()
+                loads.append((slot, node.symbol, node.var))
+            leaves[id(node)] = slot
+        return slot
+
+    for w in phrase.words:
+        loads, steps = [], []
+        root = visit(w.tree, loads, steps)
+        words.append((w.coeff, loads, steps, root))
+
+    # walking the program backwards, a product slot is dead after the first
+    # read met, which is its last
+    product_slots, live = set(products.values()), set()
+
+    def last_reads(*slots):
+        dead = tuple(s for s in dict.fromkeys(slots) if s in product_slots and s not in live)
+        live.update(dead)
+        return dead
+
+    program = []
+    for coeff, loads, steps, root in reversed(words):
+        drop = last_reads(root)
+        compiled = []
+        for dst, left, right in reversed(steps):
+            compiled.append((dst, left, right, last_reads(left, right)))
+        program.append((coeff, tuple(loads), tuple(reversed(compiled)), root, drop))
+    return phrase.has_operator(), size, tuple(reversed(program))
+
+
+def _leaf_value(kind, arg, zenv: dict, henv: dict, dim: int):
+    if kind == "c":
+        return arg
+    if kind in ("e", "ec"):
+        one = np.zeros(dim)
+        one[0] = 1.0
+        return one
+    if kind in ("I", "Ic"):
+        if arg not in henv:
+            raise MissingOperatorArgumentError(f"no operator argument for variable {arg}")
+        return conj_coeffs(henv[arg]) if kind == "Ic" else henv[arg]
+    if arg not in zenv:
+        raise MissingOperatorArgumentError(f"no value supplied for variable {arg}")
+    return conj_coeffs(zenv[arg]) if kind == "zc" else zenv[arg]
 
 
 def eval_phrase(phrase: Phrase, zval, h=None):
@@ -783,11 +946,16 @@ def eval_phrase(phrase: Phrase, zval, h=None):
     Leaves map as: constants to themselves, e and ec to 1, z^p and zc^p to
     the powers of z and conj(z), I and Ic to h and conj(h).  h is required
     whenever the phrase contains operator slots; for several variables pass
-    dicts {var: value}.  Each distinct product subtree is multiplied once.
+    dicts {var: value}.  The phrase's program, compiled on the first call
+    and kept, multiplies each distinct product subtree once.
     """
     zenv = _as_env(zval)
     henv = _as_env(h)
-    if phrase.has_operator() and not henv:
+    program = phrase._derived.get("program")
+    if program is None:
+        program = phrase._derived["program"] = _compile(phrase)
+    has_operator, size, words = program
+    if has_operator and not henv:
         raise MissingOperatorArgumentError("phrase contains operator slots; supply h")
     dims = {v.shape[-1] for v in zenv.values()} | {v.shape[-1] for v in henv.values()}
     if phrase.level is not None:
@@ -798,56 +966,19 @@ def eval_phrase(phrase: Phrase, zval, h=None):
         raise DimensionError("cannot infer the algebra dimension")
     dim = dims.pop()
     batch = np.broadcast_shapes(*(v.shape[:-1] for v in list(zenv.values()) + list(henv.values())))
-    cache = {}
-
-    def leaf_value(leaf):
-        if isinstance(leaf, Const):
-            return np.asarray(leaf.values)
-        if isinstance(leaf, (E, Ec)):
-            one = np.zeros(dim)
-            one[0] = 1.0
-            return one
-        if isinstance(leaf, (OneOp, OneOpC)):
-            if leaf.var not in henv:
-                raise MissingOperatorArgumentError(f"no operator argument for variable {leaf.var}")
-            hval = henv[leaf.var]
-            return conj_coeffs(hval) if isinstance(leaf, OneOpC) else hval
-        if leaf.var not in zenv:
-            raise MissingOperatorArgumentError(f"no value supplied for variable {leaf.var}")
-        zv = zenv[leaf.var]
-        if isinstance(leaf, ZPow):
-            return _power(cache, zv, leaf.p, ("z", leaf.var))
-        return _power(cache, conj_coeffs(zv), leaf.p, ("zc", leaf.var))
-
-    # uses of each product node: one per word it roots and one per distinct
-    # parent, since a repeated node's children are evaluated only once
-    uses = Counter()
-
-    def count_uses(tree):
-        if isinstance(tree, Mul):
-            uses[tree] += 1
-            if uses[tree] == 1:
-                count_uses(tree.left)
-                count_uses(tree.right)
-
-    for w in phrase.words:
-        count_uses(w.tree)
-    memo = {}  # values of the product nodes that have uses left
-
-    def tree_value(tree):
-        if not isinstance(tree, Mul):
-            return leaf_value(tree)
-        value = memo.pop(tree, None)
-        if value is None:
-            value = mul_coeffs(tree_value(tree.left), tree_value(tree.right))
-        uses[tree] -= 1
-        if uses[tree]:
-            memo[tree] = value
-        return value
-
+    values = [None] * size
     total = np.zeros(batch + (dim,))
-    for w in phrase.words:
-        total = total + float(w.coeff) * tree_value(w.tree)
+    for coeff, loads, steps, root, drop in words:
+        coeff = float(coeff)
+        for slot, kind, arg in loads:
+            values[slot] = _leaf_value(kind, arg, zenv, henv, dim)
+        for dst, left, right, dead in steps:
+            values[dst] = mul_coeffs(values[left], values[right])
+            for slot in dead:
+                values[slot] = None
+        total = total + coeff * values[root]
+        for slot in drop:
+            values[slot] = None
     if isinstance(zval, CdNumber) or (isinstance(zval, dict) and zval and
                                       isinstance(next(iter(zval.values())), CdNumber)):
         if total.ndim == 1:
@@ -860,7 +991,11 @@ def eval_phrase(phrase: Phrase, zval, h=None):
 # ---------------------------------------------------------------------------
 
 def _check_z_only(phrase: Phrase, var: int, op: str):
+    rejected = {(cls, var) for cls in (ZcPow, Ec, OneOpC, OneOp)}
     for w in phrase.words:
+        if rejected.isdisjoint(w.tree._kinds):
+            continue
+        # the first rejected leaf of the word names the error
         for leaf in _leaves(w.tree):
             if isinstance(leaf, Const) or leaf.var != var:
                 continue
@@ -878,17 +1013,18 @@ def _check_side(side: str):
 
 
 def _has_active(tree, var: int) -> bool:
-    return any(
-        isinstance(leaf, (ZPow, E)) and leaf.var == var for leaf in _leaves(tree)
-    )
+    return (ZPow, var) in tree._kinds or (E, var) in tree._kinds
 
 
-def _leibniz(tree, leaf_rule) -> list:
+def _leibniz(tree, leaf_rule, var: int) -> list:
     """Product rule down the bracket tree: the (c, tree') terms in which one
-    leaf is replaced by each (c, leaf') term of leaf_rule(leaf)."""
+    z^p leaf of var is replaced by each (c, leaf') term of leaf_rule(leaf);
+    a subtree without such a leaf has none."""
+    if (ZPow, var) not in tree._kinds:
+        return []
     if isinstance(tree, Mul):
-        return ([(c, Mul(t, tree.right)) for c, t in _leibniz(tree.left, leaf_rule)]
-                + [(c, Mul(tree.left, t)) for c, t in _leibniz(tree.right, leaf_rule)])
+        return ([(c, Mul(t, tree.right)) for c, t in _leibniz(tree.left, leaf_rule, var)]
+                + [(c, Mul(tree.left, t)) for c, t in _leibniz(tree.right, leaf_rule, var)])
     return leaf_rule(tree)
 
 
@@ -902,16 +1038,14 @@ def _terms(phrase: Phrase) -> list:
 
 
 def _d_leaf(leaf, var: int) -> list:
-    """Derivative at h=1 of one leaf: z -> e, z^p -> p z^{p-1}."""
-    if not (isinstance(leaf, ZPow) and leaf.var == var):
-        return []
+    """Derivative at h=1 of a leaf z^p of var: z -> e, z^p -> p z^{p-1}."""
     if leaf.p == 1:
         return [(Fraction(1), E(var))]
     return [(Fraction(leaf.p), ZPow(leaf.p - 1, var))]
 
 
 def _d_tree(tree, var: int) -> list:
-    return _leibniz(tree, lambda leaf: _d_leaf(leaf, var))
+    return _leibniz(tree, lambda leaf: _d_leaf(leaf, var), var)
 
 
 def _a_tree(tree, var: int, side: str) -> list:
@@ -974,9 +1108,7 @@ def antiderive(phrase: Phrase, side: str = "left", var: int = 1) -> Phrase:
 
 
 def _full_d_leaf(leaf, var: int) -> list:
-    """Full derivative of one leaf: z^p -> sum_i z^i I z^{p-1-i}."""
-    if not (isinstance(leaf, ZPow) and leaf.var == var):
-        return []
+    """Full derivative of a leaf z^p of var: z^p -> sum_i z^i I z^{p-1-i}."""
     terms = []
     for i in range(leaf.p):
         node = OneOp(var)
@@ -1000,5 +1132,5 @@ def hat_operator(phrase: Phrase, var: int = 1, side: str = "left") -> Phrase:
     if key not in phrase._derived:
         mu = antiderive(phrase, side, var)
         phrase._derived[key] = Phrase(_expand(
-            _terms(mu), lambda t: _leibniz(t, lambda leaf: _full_d_leaf(leaf, var))))
+            _terms(mu), lambda t: _leibniz(t, lambda leaf: _full_d_leaf(leaf, var), var)))
     return phrase._derived[key]

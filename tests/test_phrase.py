@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+import gc
+import hashlib
 import math
 import pickle
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, conj_coeffs, mul, mul_coeffs
+from cdconf.contour import PlanarLoop, PlanarPath, line_integral
 from cdconf.errors import (
     MissingOperatorArgumentError,
     MultiplicityError,
@@ -516,7 +520,16 @@ def test_memoized_eval_equals_the_word_walk(seed, level, shape):
     z = {1: _value(rng, shape, dim), 2: _value(rng, shape, dim)} if two_vars else _value(rng, shape, dim)
     cases.append((rep, z, _value(rng, shape, dim) if ops else None))
     for phrase, zval, h in cases:
-        assert _bytes(ph.eval_phrase(phrase, zval, h)) == _bytes(_walk_words(phrase, zval, h))
+        want = _bytes(_walk_words(phrase, zval, h))
+        assert _bytes(ph.eval_phrase(phrase, zval, h)) == want
+        # the program is compiled once per phrase and kept
+        program = phrase._derived["program"]
+        assert _bytes(ph.eval_phrase(phrase, zval, h)) == want
+        assert phrase._derived["program"] is program
+        # it is not part of the value, and a copy starts without it
+        twin = ph.Phrase(ph._terms(phrase))
+        assert twin == phrase and hash(twin) == hash(phrase) and "program" not in twin._derived
+        assert "program" not in pickle.loads(pickle.dumps(phrase))._derived
 
 
 def _distinct_products(phrase):
@@ -571,6 +584,25 @@ def test_each_distinct_product_is_multiplied_once(monkeypatch, seed):
     assert _distinct_products(kernel) < walked
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_product_value_is_released_after_its_last_read(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    kernel = ph.hat_operator(random_phrase(rng, 2))
+    pts = rng.normal(size=(3, 4))
+    refs, held = [], []
+
+    def counted(x, y):
+        held.append(sum(r() is not None for r in refs))
+        out = mul_coeffs(x, y)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ph, "mul_coeffs", counted)
+    ph.eval_phrase(kernel, pts, h=pts)
+    # hundreds of products, of which only the few still to be read are held
+    assert len(refs) > 300 and max(held) <= len(refs) // 10
+
+
 # ---------------------------------------------------------------------------
 # cached hashes and derived phrases
 # ---------------------------------------------------------------------------
@@ -579,7 +611,8 @@ def test_equal_trees_built_apart_hash_equal():
     a = ph.parse("([0,1,0,0] z^2) (z [0,0,1,0])")
     b = ph.parse("([0,1,0,0] z^2) (z [0,0,1,0])")
     ta, tb = a.words[0].tree, b.words[0].tree
-    assert ta is not tb and ta == tb and hash(ta) == hash(tb)
+    # interned: equal trees are one node
+    assert ta is tb and ta == tb and hash(ta) == hash(tb)
     assert a == b and hash(a) == hash(b)
     assert ph.Mul(ph.ZPow(1), ph.E()) != ph.Mul(ph.E(), ph.ZPow(1))
 
@@ -590,7 +623,8 @@ def test_mul_hash_survives_copies():
               dataclasses.replace(tree), dataclasses.replace(tree, right=ph.E())]
     for t in copies:
         assert hash(t) == hash((t.left, t.right))
-    assert copies[0] == copies[1] == copies[2] == tree
+    # a copy comes back interned: it is the live node
+    assert copies[0] is copies[1] is copies[2] is tree
 
 
 @pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy,
@@ -601,6 +635,7 @@ def test_a_phrase_copies_and_pickles(dup):
     nu.antiderive()
     got = dup(nu)
     assert got == nu and hash(got) == hash(nu) and got._derived == {}
+    assert all(a.tree is b.tree for a, b in zip(got.words, nu.words))
     z = cd([0.3, -0.2, 0.7, 0.1])
     assert got(z).coeffs.tobytes() == nu(z).coeffs.tobytes()
 
@@ -647,3 +682,121 @@ def test_phrase_value_ignores_its_derived_cache():
     for name in ("words", "_derived", "anything"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
+
+
+# ---------------------------------------------------------------------------
+# interned nodes
+# ---------------------------------------------------------------------------
+
+def test_signed_zero_constants_compare_equal_and_render_as_built():
+    # the intern key tells -0.0 from 0.0, so what was built earlier never
+    # changes the bytes of a phrase; of equal words the first one renders
+    for first, second in (("-0", "0"), ("0", "-0")):
+        a = ph.parse(f"[{first},1,0,0] z")
+        b = ph.parse(f"[{second},1,0,0] z")
+        assert a.render() == f"([{first}, 1, 0, 0] z)"
+        assert b.render() == f"([{second}, 1, 0, 0] z)"
+        assert a == b and hash(a) == hash(b)
+        assert a.words[0].tree is not b.words[0].tree
+        assert (a + b).render() == f"2 ([{first}, 1, 0, 0] z)"
+        assert (b + a).render() == f"2 ([{second}, 1, 0, 0] z)"
+        del a, b
+    # so does the key of a power: its numbers with their types
+    a, b = ph.z(2, 3), ph.z(2.0, 3)
+    assert a == b and a.render() == "z_3^2" and b.render() == "z_3^2.0"
+
+
+def test_the_intern_table_shrinks_back():
+    gc.collect()
+    baseline = len(ph._TABLE)
+    phrases = [ph.const(cd([k, 1.0, 0.5, k % 7])) * ph.z(1 + k % 5) * ph.const(cd([0, k, 1, 0]))
+               for k in range(10 ** 4)]
+    assert len(ph._TABLE) > baseline + 3 * 10 ** 4  # two constants and two products each
+    del phrases
+    gc.collect()
+    assert len(ph._TABLE) == baseline
+
+
+def _walked_degree(tree):
+    if isinstance(tree, ph.Mul):
+        return _walked_degree(tree.left) + _walked_degree(tree.right)
+    return tree.p if isinstance(tree, ph._Power) else 0
+
+
+def _walked_distance(nu, mu, b):
+    """phrase_distance with every degree walked down the word's tree."""
+    def groups(phrase):
+        out = {}
+        for w in phrase.words:
+            out.setdefault(_walked_degree(w.tree), {})[(w.coeff, w.tree)] = w
+        return out
+
+    ga, gb = groups(nu), groups(mu)
+    total = 0.0
+    for j in sorted(set(ga) | set(gb)):
+        wa, wb = ga.get(j, {}), gb.get(j, {})
+        diff = [w for k, w in wa.items() if k not in wb] + [w for k, w in wb.items() if k not in wa]
+        if diff:
+            total += max(ph.word_length(w) for w in diff) * b ** j
+    return total
+
+
+def test_degrees_on_hat_kernels_match_a_tree_walk(rng):
+    kernels = []
+    for k in range(6):
+        nu = random_phrase(rng, level=2 + k % 2)
+        kernels += [nu, ph.hat_operator(nu, side="left"), ph.hat_operator(nu, side="right")]
+    for kernel in kernels:
+        groups = kernel.degree_groups()
+        assert groups == {d: [w for w in kernel.words if _walked_degree(w.tree) == d]
+                          for d in {_walked_degree(w.tree) for w in kernel.words}}
+        assert kernel.max_degree() == max(_walked_degree(w.tree) for w in kernel.words)
+    params = ph.PhraseMetricParams(0.3)
+    for a in kernels[:9]:
+        for b in kernels[:9]:
+            assert ph.phrase_distance(a, b, params) == _walked_distance(a, b, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# the byte gate: digests of render, parse, antiderive, hat_operator,
+# eval_phrase and line_integral outputs, computed before phrase nodes were
+# interned and evaluation compiled
+# ---------------------------------------------------------------------------
+
+def _gate_digests():
+    rng = np.random.default_rng(20261019)
+    text, numbers = hashlib.sha256(), hashlib.sha256()
+    for k in range(40):
+        level = 2 + k % 2
+        dim = 1 << level
+        nu = random_phrase(rng, level=level)
+        canonical = nu.render()
+        back = ph.parse(canonical)
+        assert back == nu
+        text.update(f"{canonical}\n{back.render()}\n".encode())
+        for side in ("left", "right"):
+            hat = ph.hat_operator(nu, side=side)
+            text.update(f"{ph.antiderive(nu, side).render()}\n{hat.render()}\n".encode())
+        pts = rng.normal(size=(5, dim)) * 0.7
+        numbers.update(ph.eval_phrase(nu, pts).tobytes())
+        numbers.update(ph.eval_phrase(nu, CdNumber(pts[0])).coeffs.tobytes())
+        numbers.update(ph.eval_phrase(hat, pts, h=pts[::-1]).tobytes())
+        m = np.zeros(dim)
+        m[1 + k % (dim - 1)] = 1.0
+        a0, m = CdNumber(np.zeros(dim)), CdNumber(m)
+        side = "left" if k % 2 else "right"
+        loop = PlanarLoop.circle(a0, m, center=tuple(rng.uniform(-0.3, 0.3, 2)),
+                                 radius=rng.uniform(0.5, 1.2), n=16)
+        seg = PlanarPath.segment(a0, m, tuple(rng.uniform(-1, 0, 2)),
+                                 tuple(rng.uniform(0, 1, 2)), n=8)
+        for path in (loop, seg):
+            numbers.update(line_integral(nu, path, refine=1e-11, side=side).coeffs.tobytes())
+    return text.hexdigest(), numbers.hexdigest()
+
+
+def test_phrase_outputs_keep_their_bytes():
+    # the numbers digest holds the bits of numpy's einsum, as computed with
+    # numpy 2.4 on x86-64
+    text, numbers = _gate_digests()
+    assert text == "7d49f1f8ce579084af06b75b86926904f57e74bb9bed49a37a8c3b868f7c7ec5"
+    assert numbers == "477e3d27cdb456be3d62b450485afdf5c2bdb30066a25f5e2df291bbfa5f21f9"
