@@ -224,7 +224,7 @@ def _cmd_phrase(payload, rng, tol):
     if op == "antiderive":
         return {"result": ph.antiderive(expr, _need(payload, "side", str, "left"), var).render()}
     if op == "hat":
-        return {"result": ph.hat_operator(expr, var).render()}
+        return {"result": ph.hat_operator(expr, var, _need(payload, "side", str, "left")).render()}
     raise SchemaError(f"unknown phrase op {op!r}")
 
 

@@ -7,6 +7,10 @@ exactly.  classify_sequence applies the metric at a fixed finite
 resolution: its verdicts are evidence at that resolution, not proofs
 (finite grids cannot certify a limit).
 
+A grid builds only the part of its coefficient lattice inside the ball,
+and the metric takes an SVD only on the nodes whose bounds leave them a
+chance to hold the maximum; both give the bits of the full computation.
+
 Maps follow the protocol of calculus.values_at: `apply_many` evaluates
 all nodes (and their stencils) at once, `jacobian_at` gives exact
 derivatives, and `constant_jacobian` keeps one Jacobian per map.
@@ -45,10 +49,12 @@ class CompactGrid:
     resolution is the minimal number of nodes; the lattice is grown until
     at least that many points fall inside the ball.  refined() doubles the
     lattice density keeping every existing node (odd per-axis counts nest),
-    so grid refinement can only add maxima.  A lattice of more than
-    MAX_LATTICE_POINTS points is refused with DomainError before it is built;
-    nodes() refuses one with no node in the ball (an explicit per_axis of 0,
-    1 or 2) the same way, and a negative per_axis is refused on construction.
+    so grid refinement can only add maxima.  Only the lattice points near
+    the ball are built (see _lattice), and the nodes once per grid.  A
+    lattice of more than MAX_LATTICE_POINTS points is refused with
+    DomainError before it is built; nodes() refuses one with no node in the
+    ball (an explicit per_axis of 0, 1 or 2) the same way, and a negative
+    per_axis, or a radius whose square overflows, is refused on construction.
     """
 
     center: CdNumber
@@ -60,46 +66,64 @@ class CompactGrid:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise DomainError(f"grid radius must be finite and positive, got {self.radius}")
+        if not math.isfinite((self.radius + 1e-12) * (self.radius + 1e-12)):
+            raise DomainError(f"grid radius {self.radius} is too large: its square overflows")
         if self.resolution < 1:
             raise DomainError(f"grid resolution must be at least 1, got {self.resolution}")
         if self.per_axis is not None and self.per_axis < 0:
             raise DomainError(f"grid per_axis must not be negative, got {self.per_axis}")
 
-    @cached_property
-    def _per_axis(self) -> int:
-        if self.per_axis is not None:
-            return self.per_axis
-        per_axis = 2
-        while len(self._lattice(per_axis)) < self.resolution:
-            per_axis += 1
-        return per_axis
-
     def _lattice(self, per_axis: int) -> np.ndarray:
+        """The points of the centered per_axis^dim lattice in the ball, in
+        the row order of an 'ij' meshgrid.  Coordinates are added one at a
+        time, and a prefix is dropped once its sum of squares is past the
+        ball by a relative 1e-9, far above the rounding of any norm; the
+        survivors then meet the meshgrid's own norm test, so the kept rows
+        and their bits are those of the full lattice."""
         dim = self.center.dim
         if per_axis ** dim > MAX_LATTICE_POINTS:
             raise DomainError(f"a {per_axis}^{dim}-point lattice exceeds "
                               f"{MAX_LATTICE_POINTS} points")
-        axes = [np.linspace(-self.radius, self.radius, per_axis)] * dim
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        return mesh[np.linalg.norm(mesh, axis=1) <= self.radius + 1e-12]
+        axis = np.linspace(-self.radius, self.radius, per_axis)
+        bound = self.radius + 1e-12
+        limit = bound * bound * (1.0 + 1e-9)
+        index = np.zeros((1, 0), dtype=np.intp)  # the kept prefixes, as axis indices
+        partial = np.zeros(1)  # their sums of squares
+        with np.errstate(over="ignore"):  # an overflowing sum is past the ball
+            for _ in range(dim):
+                sums = (partial[:, None] + axis * axis).ravel()
+                keep = sums <= limit
+                index = np.column_stack([np.repeat(index, per_axis, axis=0),
+                                         np.tile(np.arange(per_axis), len(index))])[keep]
+                partial = sums[keep]
+            points = axis[index]
+            return points[np.linalg.norm(points, axis=1) <= bound]
 
     @cached_property
-    def _nodes(self) -> np.ndarray:
-        lattice = self._lattice(self._per_axis)
+    def _built(self) -> tuple[int, np.ndarray]:
+        """(per_axis, nodes): the explicit per_axis, or the smallest count
+        from 2 up whose lattice has `resolution` points in the ball, and
+        that lattice shifted to the center (read-only, shared by every caller)."""
+        per_axis = 2 if self.per_axis is None else self.per_axis
+        lattice = self._lattice(per_axis)
+        while self.per_axis is None and len(lattice) < self.resolution:
+            per_axis += 1
+            lattice = self._lattice(per_axis)
         if not len(lattice):
-            raise DomainError(f"a lattice of {self._per_axis} points per axis "
+            raise DomainError(f"a lattice of {per_axis} points per axis "
                               "has no node in the ball")
         nodes = self.center.coeffs + lattice
-        nodes.flags.writeable = False  # shared by every caller
-        return nodes
+        nodes.flags.writeable = False
+        return per_axis, nodes
 
     def nodes(self) -> np.ndarray:
         """The (N, 2^r) lattice points in the ball, built once per grid (read-only)."""
-        return self._nodes
+        return self._built[1]
 
     def refined(self) -> "CompactGrid":
+        per_axis = self._built[0] if self.per_axis is None else self.per_axis
         return CompactGrid(self.center, self.radius, self.resolution,
-                           self.step, 2 * self._per_axis - 1)
+                           self.step, 2 * per_axis - 1)
 
     def to_json(self):
         return {
@@ -180,10 +204,38 @@ def _stencil_jacobians(samples: np.ndarray, step: float) -> np.ndarray:
 
 def _rho_from_features(fa, fb) -> np.ndarray:
     """Grid maxima of |f-g| + ||f'-g'|| over the last node axis; leading
-    member axes and a (1, dim, dim) constant Jacobian broadcast."""
+    member axes and a (1, dim, dim) constant Jacobian broadcast.
+
+    With a Jacobian per node, an SVD is taken only on the candidate nodes.
+    The Frobenius norm bounds ||f'-g'|| from above (widened so that it
+    also bounds LAPACK's rounded value) and the largest column norm from
+    below.  The exact value at the node with the largest lower bound is a
+    value of the row, and a node whose upper bound stays below it cannot
+    hold the maximum.  Rounding is monotone, so every maximizing node is a
+    candidate and the maximum is the float of the full computation.
+    """
     dv = np.linalg.norm(fa[0] - fb[0], axis=-1)
-    dj = np.linalg.norm(fa[1] - fb[1], ord=2, axis=(-2, -1))
-    return np.max(dv + dj, axis=-1)
+    diff = fa[1] - fb[1]
+    if diff.shape[-3] == 1 or not np.isfinite(diff).all():  # no bound past an overflow
+        return np.max(dv + np.linalg.norm(diff, ord=2, axis=(-2, -1)), axis=-1)
+    shape = np.broadcast_shapes(dv.shape, diff.shape[:-2])
+    dim = diff.shape[-1]
+    dv = np.broadcast_to(dv, shape).reshape(-1, shape[-1])
+    diff = np.broadcast_to(diff, shape + (dim, dim)).reshape(dv.shape + (dim, dim))
+    scale = np.abs(diff).max(axis=(-2, -1))  # scaled sums of squares cannot overflow
+    unit = diff / np.where(scale > 0, scale, 1.0)[..., None, None]
+    cols = (unit * unit).sum(axis=-2)  # squared column norms over scale^2
+    with np.errstate(over="ignore"):
+        # LAPACK may exceed the exact norm by a few ulps, and by a few
+        # subnormal steps below 1e-300; both margins are far wider
+        upper = dv + (scale * np.sqrt(cols.sum(axis=-1)) * (1.0 + 1e-12) + 1e-300)
+        guess = np.argmax(dv + scale * np.sqrt(cols.max(axis=-1)), axis=-1)
+    rows = np.arange(len(dv))
+    best = dv[rows, guess] + np.linalg.norm(diff[rows, guess], ord=2, axis=(-2, -1))
+    r, c = np.nonzero(upper >= best[:, None])
+    values = np.full(dv.shape, -np.inf)
+    values[r, c] = dv[r, c] + np.linalg.norm(diff[r, c], ord=2, axis=(-2, -1))
+    return np.max(values.reshape(shape), axis=-1)
 
 
 def _distances(feats) -> np.ndarray:

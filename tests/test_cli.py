@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from cdconf import phrase as ph
 from cdconf.cli import main, run
 from cdconf.errors import SchemaError
 from cdconf.suites import SUITES
@@ -258,3 +259,31 @@ def test_moebius_apply_infinity():
     out = req("moebius", {"op": "apply", "word": [{"op": "inv"}],
                           "z": [0, 0, 0, 0], "level": 2})
     assert out["result"] == "inf"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_hat_takes_its_side(side):
+    text = "[0,1,0,0] z [0,0,1,0] z"
+    out = req("phrase", {"op": "hat", "text": text, "side": side})
+    assert out["result"] == ph.hat_operator(ph.parse(text), 1, side).render()
+    other = "left" if side == "right" else "right"
+    assert out["result"] != ph.hat_operator(ph.parse(text), 1, other).render()
+
+
+def _normal_rho(radius):
+    payload = {"op": "rho", "maps": [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+                                     [[1, 0.5, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]],
+               "grid": {"center": [0, 0, 0, 0], "radius": radius, "resolution": 16}}
+    return subprocess.run([sys.executable, "-m", "cdconf.cli", "normal", "--json", "-"],
+                          input=json.dumps(payload), capture_output=True, text=True)
+
+
+def test_a_radius_whose_square_overflows_is_refused_without_a_warning():
+    proc = _normal_rho(1e300)
+    message = "grid radius 1e+300 is too large: its square overflows"
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": {"message": message, "type": "DomainError"}}
+    assert proc.stderr == f"error: {message}\n"  # the error line, and no numpy warning
+    proc = _normal_rho(1e-300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"resolution": 16, "rho": 1.5}\n', "")

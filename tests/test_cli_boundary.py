@@ -79,6 +79,7 @@ def grid(**kw):
 TABLE = [
     ("antiderive-side-middle", ["phrase"],
      {"op": "antiderive", "text": "z^2", "side": "middle"}, 2),
+    ("hat-side-middle", ["phrase"], {"op": "hat", "text": "z^2", "side": "middle"}, 2),
     ("proj-bool-index", ["eval"], {"op": "proj", "j": True, "x": [1, 2, 3, 4]}, 2),
     ("conj-nan", ["eval"], '{"op": "conj", "x": [NaN, 1, 2, 3]}', 2),
     ("conj-1e400", ["eval"], '{"op": "conj", "x": [1e400, 1, 2, 3]}', 2),

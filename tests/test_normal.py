@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -372,11 +375,11 @@ def test_grid_builds_its_nodes_once_and_read_only(monkeypatch):
     monkeypatch.setattr(CompactGrid, "_lattice",
                         lambda self, p: calls.append(p) or lattice(self, p))
     nodes = grid.nodes()
-    assert grid.nodes() is nodes and calls == [2, 3, 4, 5, 6, 6]
+    assert grid.nodes() is nodes and calls == [2, 3, 4, 5, 6]
     with pytest.raises(ValueError):
         nodes[0, 0] = 7.0
     assert np.array_equal(grid.refined().nodes(), _reference_nodes(grid.center, 1.0, 11))
-    assert calls[6:] == [11]
+    assert calls[5:] == [11]
 
 
 def test_grid_refusal_is_raised_on_every_call():
@@ -500,3 +503,234 @@ def test_a_raising_batch_falls_back_to_the_per_point_path():
     z = CdNumber(nodes[0])
     assert jacobian(f, z).entries.tobytes() == jacobian(word, z).entries.tobytes()
     assert f.calls == len(nodes) * (1 + 2 * 4) + 2 * 4
+
+
+# ---------------------------------------------------------------------------
+# the pruned lattice and the pruned SVDs: the bytes of the full computation
+# ---------------------------------------------------------------------------
+
+def _meshgrid_lattice(grid, per_axis):
+    """The full per_axis^dim meshgrid filtered to the ball, as the grid
+    built it before the pruning: the reference for the pruned build."""
+    dim = grid.center.dim
+    axes = [np.linspace(-grid.radius, grid.radius, per_axis)] * dim
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    return mesh[np.linalg.norm(mesh, axis=1) <= grid.radius + 1e-12]
+
+
+def _assert_lattice_matches(grid, per_axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the meshgrid's norms overflow near 1e154
+        reference = _meshgrid_lattice(grid, per_axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lattice = grid._lattice(per_axis)
+    assert lattice.shape == reference.shape and lattice.tobytes() == reference.tobytes()
+    pinned = CompactGrid(grid.center, grid.radius, per_axis=per_axis)
+    if len(reference):
+        assert pinned.nodes().tobytes() == (grid.center.coeffs + reference).tobytes()
+    else:
+        with pytest.raises(DomainError, match="no node in the ball"):
+            pinned.nodes()
+
+
+@pytest.mark.parametrize("radius", [1e-12, 0.5, 1.0, 3.7, 1e150])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_pruned_lattice_has_the_meshgrid_bytes(level, radius):
+    # every per_axis up to the cap; per_axis 3 and 5 put nodes on the sphere
+    center = CdNumber(np.linspace(-0.7, 0.4, 1 << level))
+    grid = CompactGrid(center, radius, 1)
+    per_axis = 0
+    while per_axis ** center.dim <= MAX_LATTICE_POINTS:
+        _assert_lattice_matches(grid, per_axis)
+        per_axis += 1
+
+
+def test_pruned_lattice_keeps_the_nodes_on_the_sphere_at_any_scale():
+    # per_axis 3 and 5 put nodes on the sphere, where a sum of squares
+    # rounds past radius^2 while the meshgrid's norm test keeps the node
+    rng = np.random.default_rng(3)
+    for radius in 10.0 ** rng.uniform(-12, 150, size=300):
+        for level, per_axis in ((2, 3), (2, 5), (2, 9), (3, 3)):
+            grid = CompactGrid(CdNumber.zero(level), float(radius), 1)
+            assert grid._lattice(per_axis).tobytes() == _meshgrid_lattice(grid, per_axis).tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
+       exponent=st.floats(-13.0, 154.0))
+def test_pruned_lattice_has_the_meshgrid_bytes_at_any_radius(seed, level, exponent):
+    rng = np.random.default_rng(seed)
+    dim = 1 << level
+    center = CdNumber(rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3))
+    grid = CompactGrid(center, float(10.0 ** exponent * rng.uniform(1.0, 1.34)), 1)
+    _assert_lattice_matches(grid, int(rng.integers(0, 10 if level == 2 else 5)))
+
+
+@pytest.mark.parametrize("radius", [1e300, 1e155, 1.35e154])
+def test_a_radius_whose_square_overflows_is_refused_on_construction(radius):
+    with pytest.raises(DomainError, match=re.escape(f"grid radius {radius} is too large")):
+        CompactGrid(CdNumber.zero(2), radius, 16)
+
+
+def test_a_huge_radius_builds_its_lattice_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nodes = CompactGrid(CdNumber.zero(3), 1.34e154, 16).nodes()
+    assert len(nodes) == 17
+
+
+def _full_svd_rho(fa, fb):
+    """One SVD per node, as rho took them before the pruning: the reference
+    for the pruned maximum."""
+    dv = np.linalg.norm(fa[0] - fb[0], axis=-1)
+    dj = np.linalg.norm(fa[1] - fb[1], ord=2, axis=(-2, -1))
+    return np.max(dv + dj, axis=-1)
+
+
+def _assert_pruned_rho_matches(fa, fb):
+    got, want = _rho_from_features(fa, fb), _full_svd_rho(fa, fb)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([4, 8]),
+       nodes=st.integers(1, 60), members=st.integers(0, 5),
+       value_exp=st.floats(-300.0, 150.0), jac_exp=st.floats(-300.0, 150.0),
+       shape=st.sampled_from(["per-node", "constant-a", "constant-b", "ties"]))
+def test_pruned_rho_has_the_full_svd_bytes(seed, dim, nodes, members, value_exp, jac_exp,
+                                           shape):
+    rng = np.random.default_rng(seed)
+    lead = (members,) if members else ()
+    va = rng.normal(size=(nodes, dim)) * 10.0 ** value_exp
+    vb = rng.normal(size=lead + (nodes, dim)) * 10.0 ** value_exp
+    ja = rng.normal(size=(nodes, dim, dim)) * 10.0 ** jac_exp
+    jb = rng.normal(size=lead + (nodes, dim, dim)) * 10.0 ** jac_exp
+    if shape == "constant-a":
+        ja = ja[:1]
+    elif shape == "constant-b":
+        jb = jb[..., :1, :, :]
+    elif shape == "ties":  # equal and zero differences on half the nodes
+        ja[: nodes // 2] = ja[0]
+        jb[..., : nodes // 2, :, :] = ja[0] + 1.0
+        jb[..., nodes // 2:, :, :] = ja[nodes // 2:]
+        vb[..., : nodes // 2, :] = va[0]
+        va[: nodes // 2] = va[0]
+    _assert_pruned_rho_matches((va, ja), (vb, jb))
+
+
+def _stack(rng, n, dim, scale):
+    return rng.normal(size=(n, dim)) * scale, rng.normal(size=(n, dim, dim)) * scale
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e153])
+def test_pruned_rho_at_extreme_scales(scale):
+    rng = np.random.default_rng(7)
+    fa, fb = _stack(rng, 40, 4, scale), _stack(rng, 40, 4, scale)
+    _assert_pruned_rho_matches(fa, fb)
+    _assert_pruned_rho_matches(fa, fa)  # zero differences
+    small = (fb[0] * 1e-300, fb[1] * 1e-300)  # values and Jacobians far apart in scale
+    _assert_pruned_rho_matches((fa[0], small[1]), (small[0], fa[1]))
+
+
+def test_pruned_rho_with_tied_nodes():
+    rng = np.random.default_rng(8)
+    fa, fb = ((np.repeat(v, 30, axis=0), np.repeat(j, 30, axis=0))
+              for v, j in (_stack(rng, 1, 8, 1.0), _stack(rng, 1, 8, 1.0)))
+    _assert_pruned_rho_matches(fa, fb)
+    # every node ties on |f-g| and on ||f'-g'||, with the two parts swapped
+    _assert_pruned_rho_matches((np.zeros((2, 4)), np.array([np.eye(4), 2 * np.eye(4)])),
+                               (np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]), np.zeros((2, 4, 4))))
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_pruned_rho_with_rank_one_differences(dim):
+    # ||D||_2 equals ||D||_F for D = u v^T, and LAPACK's rounded value lands
+    # above the rounded Frobenius norm on about a third of them: two equal
+    # nodes per row make the upper bound of the exact value's own node decide
+    rng = np.random.default_rng(dim)
+    u, v = rng.normal(size=(2, 300, dim))
+    rank_one = np.repeat((u[:, :, None] * v[:, None, :])[:, None], 2, axis=1)
+    values = np.zeros((300, 2, dim))
+    _assert_pruned_rho_matches((values[0], np.zeros((2, dim, dim))), (values, rank_one))
+    _assert_pruned_rho_matches((values[0] + 1e-3, rank_one[0]), (values, -rank_one))
+
+
+def test_pruned_rho_with_differences_that_overflow():
+    values = np.array([[1e308, 0, 0, 0], [0.0, 0, 0, 0]])
+    jacobians = np.stack([np.full((4, 4), 1e308), np.eye(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_pruned_rho_matches((values, jacobians), (-values, -jacobians))
+        per_node = np.stack([np.eye(4), 2 * np.eye(4)])  # only |f-g| overflows
+        _assert_pruned_rho_matches((values, per_node), (-values, jacobians[1:]))
+        _assert_pruned_rho_matches((values[::-1], jacobians), (-values, -jacobians))
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_distances_of_mixed_constant_and_per_node_features(level):
+    # constant Jacobians are broadcast to one per node next to per-node ones
+    rng = np.random.default_rng(40 + level)
+    kinds = ("affine", "swirl", "affine", "word", "lambda", "affine")
+    fs = [_family(rng, kinds[k % len(kinds)], level) for k in range(12)]
+    grid = CompactGrid(cd(rng.normal(size=1 << level) * 0.1), 0.7, 16 if level == 3 else 40)
+    feats = [_features(f, grid.nodes(), grid.step) for f in fs]
+    full = [(v, np.broadcast_to(j, (len(v),) + j.shape[1:])) for v, j in feats]
+    pairwise = np.zeros((12, 12))
+    for i, j in itertools.combinations(range(12), 2):
+        pairwise[i, j] = pairwise[j, i] = _full_svd_rho(full[i], full[j])
+        _assert_pruned_rho_matches(feats[i], feats[j])
+    assert _distances(feats).tobytes() == pairwise.tobytes()
+
+
+# sha256 of the outputs below, computed with the unpruned lattice and SVDs
+GATE_SHA256 = "8a4eec542467363d30cea4f5b1325765d387ffc531666bc4449a55b33fcae8ea"
+
+
+def _translated(f, t, level):
+    if isinstance(f, AffineMap):
+        return AffineMap(f.a, f.b, f.c + cd(t))
+    if isinstance(f, MoebiusWord):
+        return compose(f, MoebiusWord([Shift(cd(t))], level))
+    return lambda z: f(z) + cd(t)
+
+
+def _gate_outputs():
+    """Seeded families whose members are one map plus converging, diverging,
+    scattered (with a planted cluster) or doubling translations, at levels 2
+    and 3: the grid nodes, distances, verdict and one rho of each."""
+    out = []
+    for level, kind, pattern in itertools.product(
+            (2, 3), ("affine", "word", "lambda"), ("converge", "diverge", "scatter", "apart")):
+        rng = np.random.default_rng([level, len(kind), len(pattern)])
+        dim = 1 << level
+        base = _family(rng, kind, level)
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        ts = {"converge": [0.3 * 2.0 ** -k * u for k in range(12)],
+              "diverge": [10.0 ** ((k + 1) / 2.0) * u for k in range(12)],
+              "scatter": list(rng.normal(size=(12, dim))),
+              "apart": [0.01 * 2.0 ** k * u for k in range(12)]}[pattern]
+        if pattern == "scatter":
+            for k in (3, 5, 8):
+                ts[k] = ts[0] + 1e-5 * rng.normal(size=dim)
+        fs = [_translated(base, t, level) for t in ts]
+        if kind == "lambda":  # per-point evaluation: small grids
+            resolution = 16 if level == 2 else 17
+        else:
+            resolution = 200 if level == 2 else 256
+        grid = CompactGrid(cd(rng.normal(size=dim) * 0.1), float(rng.uniform(0.3, 0.9)),
+                           resolution)
+        feats = [_features(f, grid.nodes(), grid.step) for f in fs]
+        tol = 1e-2 if pattern == "converge" else 1e-3
+        verdict = classify_sequence(fs, grid, tol, divergence_threshold=1e5).to_json()
+        out += [grid.nodes().tobytes(), _distances(feats).tobytes(),
+                json.dumps(verdict, sort_keys=True).encode(),
+                np.float64(rho(fs[0], fs[-1], grid).value).tobytes()]
+    return out
+
+
+def test_seeded_families_keep_their_bytes():
+    digest = hashlib.sha256(b"".join(_gate_outputs())).hexdigest()
+    assert digest == GATE_SHA256
