@@ -44,6 +44,7 @@ __all__ = [
     "polar",
     "mul_coeffs",
     "conj_coeffs",
+    "row_dots",
     "row_norms",
     "basis_product",
     "real_array",
@@ -115,13 +116,20 @@ def conj_coeffs(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_dots(x, y) -> np.ndarray:
+    """The dot product of each pair of (..., dim) rows, bit for bit np.dot
+    on the pair: a (1, dim) @ (dim, 1) matmul makes the same dot call.
+    norm(axis=-1), einsum and (x * y).sum(-1) sum in another order and miss
+    the last bit on 8-25 % of rows."""
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def row_norms(rows) -> np.ndarray:
     """|x| of each (..., dim) row, bit for bit CdNumber.norm(): the square
-    root of the row's dot product with itself.  norm(axis=-1), einsum and
-    (x * x).sum(-1) sum in another order and miss the last bit on 8-25 %
-    of rows; a (1, dim) @ (dim, 1) matmul makes the same dot call."""
-    x = np.ascontiguousarray(rows, dtype=float)
-    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+    root of the row's dot product with itself (row_dots)."""
+    return np.sqrt(row_dots(rows, rows))
 
 
 def real_array(values) -> np.ndarray:

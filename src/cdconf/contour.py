@@ -9,10 +9,12 @@ the same but first-order slow, so the segment rule is used instead.
 
 Winding numbers of the polylines themselves are exact (per-segment phase
 increments never reach pi for an off-curve reference point).  Image curves
-under a map f are tracked adaptively: the accumulated principal-logarithm
-increments of consecutive image samples add to 2 pi N u, with u the image
-orientation direction obtained by pushing the plane frame (1, M) through a
-directional derivative of f.
+under a map f are tracked adaptively on (n, 2^r) arrays: the loop vertices,
+and then each round's midpoints, are evaluated by one values_at call, and
+every step is tested at once.  The principal-logarithm increments of
+consecutive image samples, summed in one pass, add to 2 pi N u, with u the
+image orientation direction obtained by pushing the plane frame (1, M)
+through a directional derivative of f.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CdNumber, inv, ln_principal, mul, real_array, row_norms
+from .algebra import (CdNumber, conj_coeffs, inv, mul, mul_coeffs, real_array, row_dots,
+                      row_norms)
 from .calculus import finite_value, values_at
 from .errors import (
     BoundaryZeroError,
     CdconfError,
     DegenerateLoopError,
     DimensionError,
+    DivisionByZeroError,
     DomainError,
     EvaluationError,
     PreconditionError,
@@ -55,6 +59,7 @@ __all__ = [
 
 PHASE_STEP_LIMIT = math.pi / 4  # re-sample an image curve above this per-step phase
 _NOT_EVALUABLE = "map not evaluable on the contour"
+_BOUNDARY_ZERO = "|f| fell below tolerance on the contour"
 
 
 def _check_directing(m: CdNumber, tol: float = 1e-12):
@@ -270,35 +275,49 @@ def winding(gamma: PlanarLoop, a: CdNumber, on_curve_tol: float = 1e-12) -> Wind
 # argument principle
 # ---------------------------------------------------------------------------
 
+def _plane_points(a0: CdNumber, m: CdNumber, xs, ys) -> np.ndarray:
+    """(n, 2^r) points a0 + x + M y, summed in the order of CdNumbers point by
+    point, so a -0.0 of a0 still meets +0.0."""
+    reals = np.zeros((len(xs), a0.dim))
+    reals[:, 0] = xs
+    return (a0.coeffs + reals) + m.coeffs * np.asarray(ys)[:, None]
+
+
 def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float, max_rounds: int = 14):
     """Sample f along the loop, refining parameters until consecutive image
-    samples subtend at most PHASE_STEP_LIMIT."""
-    pts = [np.asarray(p, float) for p in loop.pts]
+    samples subtend at most PHASE_STEP_LIMIT.
 
-    def value(xy):
-        z = loop.a0 + CdNumber.real(float(xy[0]), loop.level) + loop.m * float(xy[1])
-        w = finite_value(f, z, _NOT_EVALUABLE)
-        if w.norm() <= boundary_tol:
-            raise BoundaryZeroError("|f| fell below tolerance on the contour")
-        return w
+    The vertices, and then each round's midpoints, are evaluated by one
+    values_at call; a point where f is not evaluable, or where |f| is at
+    most boundary_tol, raises at the first such point in sampling order.
+    """
+    def image(xy):
+        pts = _plane_points(loop.a0, loop.m, xy[:, 0], xy[:, 1])
 
-    vals = [value(p) for p in pts]
+        def value(idx):
+            w = finite_value(f, CdNumber(pts[idx]), _NOT_EVALUABLE)
+            if w.norm() <= boundary_tol:
+                raise BoundaryZeroError(_BOUNDARY_ZERO)
+            return w.coeffs
+
+        vals = values_at(f, pts, value)
+        norms = row_norms(vals)
+        if np.any(norms <= boundary_tol):
+            raise BoundaryZeroError(_BOUNDARY_ZERO)
+        return vals, norms
+
+    pts = loop.pts
+    vals, norms = image(pts)
     for _ in range(max_rounds):
-        new_pts, new_vals = [pts[0]], [vals[0]]
-        split = False
-        for k in range(len(pts) - 1):
-            va, vb = vals[k], vals[k + 1]
-            cosang = np.dot(va.coeffs, vb.coeffs) / (va.norm() * vb.norm())
-            if cosang < math.cos(PHASE_STEP_LIMIT):
-                mid = (pts[k] + pts[k + 1]) / 2.0
-                new_pts.append(mid)
-                new_vals.append(value(mid))
-                split = True
-            new_pts.append(pts[k + 1])
-            new_vals.append(vals[k + 1])
-        pts, vals = new_pts, new_vals
-        if not split:
+        cosang = row_dots(vals[:-1], vals[1:]) / (norms[:-1] * norms[1:])
+        split = np.flatnonzero(cosang < math.cos(PHASE_STEP_LIMIT)) + 1
+        if not len(split):
             return vals
+        mids = (pts[split - 1] + pts[split]) / 2.0
+        mid_vals, mid_norms = image(mids)
+        pts = np.insert(pts, split, mids, axis=0)
+        vals = np.insert(vals, split, mid_vals, axis=0)
+        norms = np.insert(norms, split, mid_norms)
     # persistent aliasing means the image spins without bound between
     # samples, i.e. the contour passes next to (or through) a zero
     raise BoundaryZeroError(
@@ -306,22 +325,70 @@ def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float, max_rounds: int = 
         "a zero lies on or next to the contour")
 
 
+def _phase_sum(vals: np.ndarray) -> np.ndarray:
+    """The principal logarithms of the step quotients va^{-1} vb along the
+    (n, 2^r) image samples, added in order: the bits of summing
+    ln_principal(mul(inv(va), vb)) step by step, and its errors at the
+    first step that has one."""
+    va, vb = vals[:-1], vals[1:]
+    n2 = row_dots(va, va)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero n2 raises below
+        q = mul_coeffs(conj_coeffs(va) / n2[:, None], vb)
+    imag = q.copy()
+    imag[:, 0] = 0.0
+    norms, t = row_norms(q), row_norms(imag)
+    bad = (n2 == 0.0) | (norms == 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if n2[k] == 0.0:
+            raise DivisionByZeroError("inverse of zero")
+        raise DomainError("logarithm of zero")
+    # Arg q is theta along Im q / |Im q|, or along i_1 when q is real
+    theta = np.array(list(map(math.atan2, t.tolist(), q[:, 0].tolist())))
+    direction = np.divide(imag, t[:, None], out=np.zeros_like(imag),
+                          where=t[:, None] != 0.0)
+    direction[t == 0.0, 1] = 1.0
+    logs = np.zeros_like(q)
+    logs[:, 0] = list(map(math.log, norms.tolist()))
+    steps = logs + direction * theta[:, None]
+    return np.add.accumulate(np.vstack([np.zeros(vals.shape[1]), steps]))[-1]
+
+
 def _image_direction(f, loop: PlanarLoop) -> CdNumber:
     """Push the oriented frame (1, M) of the loop's plane through f.
 
     Returns the unit imaginary part of E1^{-1} E2, the directing element
-    of the image orientation; used to sign the accumulated phase.
+    of the image orientation; used to sign the accumulated phase.  Each
+    frame's four stencil points are evaluated by one values_at call; a frame
+    where f raises CdconfError or ArithmeticError, or is degenerate, is
+    skipped, and a point at infinity raises the TypeError of the per-point
+    differences f(z0 + s) - f(z0 - s).
     """
-    lvl = loop.level
     scale = max(loop.length() / max(len(loop.pts) - 1, 1), 1e-6)
     step = 1e-4 * scale
+    real_step = CdNumber.real(step, loop.level).coeffs
+    m_step = (loop.m * step).coeffs
+    verts = loop.embedded()
     for k in range(0, len(loop.pts) - 1, max(1, (len(loop.pts) - 1) // 8)):
-        z0 = CdNumber(loop.embedded()[k])
+        z0 = verts[k]
+        pts = np.stack([z0 + real_step, z0 - real_step, z0 + m_step, z0 - m_step])
+
+        def value(idx):
+            w = f(CdNumber(pts[idx]))
+            if not isinstance(w, CdNumber):  # INF: the differences raise
+                j = idx[0]                   # their per-point TypeError
+                if j % 2:
+                    CdNumber(pts[j - 1]) - w
+                else:
+                    w - f(CdNumber(pts[j + 1]))
+            return w.coeffs
+
         try:
-            e1 = (f(z0 + CdNumber.real(step, lvl)) - f(z0 - CdNumber.real(step, lvl))) * (0.5 / step)
-            e2 = (f(z0 + loop.m * step) - f(z0 - loop.m * step)) * (0.5 / step)
+            w = values_at(f, pts, value)
         except (CdconfError, ArithmeticError):
             continue
+        e1 = CdNumber((w[0] - w[1]) * (0.5 / step))
+        e2 = CdNumber((w[2] - w[3]) * (0.5 / step))
         if e1.norm() < 1e-12 or e2.norm() < 1e-12:
             continue
         u = mul(inv(e1), e2).imag()
@@ -339,13 +406,9 @@ def count_zeros(f, gamma: PlanarLoop, boundary_tol: float = 1e-9) -> int:
     of consecutive sample quotients and projected on the pushed-forward
     orientation direction.
     """
-    vals = _adaptive_image(f, gamma, boundary_tol)
-    acc = np.zeros(1 << gamma.level)
-    for va, vb in zip(vals[:-1], vals[1:]):
-        acc += ln_principal(mul(inv(va), vb)).coeffs
-    total = CdNumber(acc)
+    acc = _phase_sum(_adaptive_image(f, gamma, boundary_tol))
     u = _image_direction(f, gamma)
-    signed = float(np.dot(total.coeffs, u.coeffs)) / (2.0 * math.pi)
+    signed = float(np.dot(acc, u.coeffs)) / (2.0 * math.pi)
     n = round(signed)
     if abs(signed - n) > 0.25:
         raise EvaluationError(
@@ -402,11 +465,7 @@ def disc_samples(loop_center, radius, n, rng, a0=None, m=None, level=2):
     m = m if m is not None else CdNumber.basis(1, a0.level)
     if m.dim != a0.dim:
         raise DimensionError(f"level mismatch: {a0.level} vs {m.level}")
-    reals = np.zeros((len(xs), a0.dim))
-    reals[:, 0] = xs
-    # the order of a0 + x + M y point by point: a -0.0 of a0 still meets +0.0
-    rows = (a0.coeffs + reals) + m.coeffs * ys[:, None]
-    return [CdNumber(row) for row in rows]
+    return [CdNumber(row) for row in _plane_points(a0, m, xs, ys)]
 
 
 def _moduli(f, boundary: np.ndarray, samples: list):

@@ -79,25 +79,30 @@ class CompactGrid:
         time, and a prefix is dropped once its sum of squares is past the
         ball by a relative 1e-9, far above the rounding of any norm; the
         survivors then meet the meshgrid's own norm test, so the kept rows
-        and their bits are those of the full lattice."""
+        and their bits are those of the full lattice.  The ball is the
+        radius plus 1e-12, or below a radius of 1 the radius times
+        1 + 1e-12: there the tests run in units of the radius, so the
+        slack scales with the ball and no square underflows."""
         dim = self.center.dim
         if per_axis ** dim > MAX_LATTICE_POINTS:
             raise DomainError(f"a {per_axis}^{dim}-point lattice exceeds "
                               f"{MAX_LATTICE_POINTS} points")
         axis = np.linspace(-self.radius, self.radius, per_axis)
-        bound = self.radius + 1e-12
+        unit = min(self.radius, 1.0)
+        scaled = axis / unit
+        bound = self.radius / unit + 1e-12
         limit = bound * bound * (1.0 + 1e-9)
         index = np.zeros((1, 0), dtype=np.intp)  # the kept prefixes, as axis indices
         partial = np.zeros(1)  # their sums of squares
         with np.errstate(over="ignore"):  # an overflowing sum is past the ball
             for _ in range(dim):
-                sums = (partial[:, None] + axis * axis).ravel()
+                sums = (partial[:, None] + scaled * scaled).ravel()
                 keep = sums <= limit
                 index = np.column_stack([np.repeat(index, per_axis, axis=0),
                                          np.tile(np.arange(per_axis), len(index))])[keep]
                 partial = sums[keep]
             points = axis[index]
-            return points[np.linalg.norm(points, axis=1) <= bound]
+            return points[np.linalg.norm(points / unit, axis=1) <= bound]
 
     @cached_property
     def _built(self) -> tuple[int, np.ndarray]:

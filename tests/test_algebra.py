@@ -26,6 +26,7 @@ from cdconf.algebra import (
     re,
     real_array,
     real_number,
+    row_dots,
     row_norms,
 )
 from cdconf.errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
@@ -219,6 +220,25 @@ def test_row_norms_equal_cdnumber_norm_bit_for_bit(level, rows, lead, layout, sc
         want = np.array([CdNumber(row).norm() for row in x.reshape(-1, dim)]).reshape(shape[:-1])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(level=st.integers(2, 6), rows=st.integers(1, 300), lead=st.sampled_from(["(n,)", "(a, n)"]),
+       layouts=st.tuples(*[st.sampled_from(["c", "fortran", "strided", "sliced"])] * 2),
+       exponent=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_dots_equal_np_dot_bit_for_bit(level, rows, lead, layouts, exponent, seed):
+    dim = 1 << level
+    shape = (rows, dim) if lead == "(n,)" else (2, rows, dim)
+    rng = np.random.default_rng(seed)
+    x = _layout(_coefficients(rng, shape, exponent), layouts[0])
+    y = _layout(_coefficients(rng, shape, exponent), layouts[1])
+    got = row_dots(x, y)
+    # each pair as CdNumbers hold it: two contiguous rows
+    rows_x, rows_y = (np.ascontiguousarray(v).reshape(-1, dim) for v in (x, y))
+    want = np.array([np.dot(CdNumber(a).coeffs, CdNumber(b).coeffs)
+                     for a, b in zip(rows_x, rows_y)])
+    assert got.shape == shape[:-1]
+    assert got.tobytes() == want.reshape(shape[:-1]).tobytes()
 
 
 def test_row_norms_warn_where_the_norm_overflows():

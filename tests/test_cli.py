@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -6,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from cdconf import contour
 from cdconf import phrase as ph
+from cdconf.algebra import CdNumber
 from cdconf.cli import main, run
+from cdconf.contour import PlanarLoop
 from cdconf.errors import SchemaError
-from cdconf.suites import SUITES
+from cdconf.suites import SUITES, rand_cd, rand_imag_unit, random_phrase, random_word
 
 
 UNIT_LOOP = {
@@ -287,3 +291,135 @@ def test_a_radius_whose_square_overflows_is_refused_without_a_warning():
     proc = _normal_rho(1e-300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, '{"resolution": 16, "rho": 1.5}\n', "")
+
+
+# ---------------------------------------------------------------------------
+# seeded contour requests: stdout and exit code pinned as one sha256
+# ---------------------------------------------------------------------------
+
+def _vec(x):
+    return [float(v) for v in (x.coeffs if hasattr(x, "coeffs") else x)]
+
+
+def _pin_loop(rng, level, signed_zeros=False):
+    a0 = rand_cd(rng, level, 0.3).coeffs
+    if signed_zeros:  # -0.0 + 0.0 is +0.0 in the per-point sum
+        a0 = np.where(rng.random(a0.shape) < 0.5, -0.0, a0)
+    center = tuple(rng.normal(size=2) * 0.3)
+    return PlanarLoop.circle(CdNumber(a0), rand_imag_unit(rng, level), center=center,
+                             radius=float(rng.uniform(0.3, 1.5)),
+                             n=int(rng.integers(16, 65)))
+
+
+def _pin_vertex(loop, k):
+    """Loop vertex k in the order of the argument principle's samples."""
+    x, y = loop.pts[k]
+    return loop.a0 + CdNumber.real(float(x), loop.level) + loop.m * float(y)
+
+
+def _pin_map(rng, level, kind, zeros=()):
+    """A map spec: a random word or phrase, or a phrase vanishing at `zeros`."""
+    if kind == "moebius":
+        word = random_word(rng, level, n_gens=int(rng.integers(1, 5)))
+        return {"kind": "moebius", "word": word.to_json(), "level": level}
+    if zeros:
+        factors = [ph.z() - ph.const(z) * ph.e() for z in zeros]
+        out = ph.const(rand_cd(rng, level))
+        for factor in factors:
+            out = out * factor
+        return {"kind": "phrase", "text": out.render()}
+    if rng.random() < 0.4:  # a power of z spins fast: refinement rounds
+        text = (ph.z(int(rng.integers(2, 6))) * ph.const(rand_cd(rng, level))).render()
+        return {"kind": "phrase", "text": text}
+    return {"kind": "phrase", "text": random_phrase(rng, level, max_words=3,
+                                                    max_degree=4).render()}
+
+
+def _pinned_contour_requests():
+    """200 seeded `contour` requests: zeros, rouche and locate on moebius
+    and phrase maps at levels 2 and 3, among them requests that end with
+    exit 1 on a pole or a zero at a loop vertex."""
+    rng = np.random.default_rng(20261019)
+    out = []
+    for level in (2, 3):
+        for k in range(45):
+            loop = _pin_loop(rng, level, signed_zeros=k % 3 == 0)
+            kind = "moebius" if k % 2 else "phrase"
+            if kind == "phrase" and k % 4 == 0:  # one or two zeros near the center
+                cx, cy = loop.pts[:-1].mean(axis=0)
+                inner = [loop.a0 + CdNumber.real(float(cx + dx), level) + loop.m * float(cy + dy)
+                         for dx, dy in rng.uniform(-0.2, 0.2, size=(1 + k % 8 // 4, 2))]
+                spec = _pin_map(rng, level, kind, zeros=inner)
+            else:
+                spec = _pin_map(rng, level, kind)
+            out.append({"op": "zeros", "map": spec, "loop": loop.to_json()})
+        for k in range(27):
+            loop = _pin_loop(rng, level)
+            g = _pin_map(rng, level, "moebius" if k % 3 == 0 else "phrase")
+            if k % 2:
+                f = _pin_map(rng, level, "moebius" if k % 4 == 1 else "phrase")
+            else:
+                small = rand_cd(rng, level, float(rng.choice([1e-3, 0.05, 5.0])))
+                f = {"kind": "phrase", "text": (ph.const(small) * ph.e()).render()}
+            out.append({"op": "rouche", "f": f, "g": g, "loop": loop.to_json()})
+        for k in range(18):
+            m = _pin_loop(rng, level).m
+            a0 = rand_cd(rng, level, 0.2)
+            x0, y0 = (float(v) for v in rng.uniform(-1.0, -0.3, size=2))
+            x1, y1 = (float(v) for v in rng.uniform(0.3, 1.0, size=2))
+            if k % 3 == 2:
+                spec = _pin_map(rng, level, "moebius")
+            else:
+                zeros = [a0 + CdNumber.real(float(x), level) + m * float(y)
+                         for x, y in rng.uniform(-0.25, 0.25, size=(1 + k % 2, 2))]
+                if k % 4 == 0:  # a zero on the first cut: the jitter
+                    zeros[0] = (a0 + CdNumber.real((x0 + x1) / 2.0, level)
+                                + m * ((y0 + y1) / 2.0))
+                spec = _pin_map(rng, level, "phrase", zeros=zeros)
+            out.append({"op": "locate", "map": spec,
+                        "rect": {"a0": _vec(a0), "M": _vec(m), "x0": x0, "x1": x1,
+                                 "y0": y0, "y1": y1},
+                        "min_cell": float(rng.uniform(0.1, 0.4))})
+        for k in range(10):  # exit 1: a pole, or a zero, on a loop vertex
+            loop = _pin_loop(rng, level, signed_zeros=k % 2 == 0)
+            v = _pin_vertex(loop, int(rng.integers(0, len(loop.pts) - 1)))
+            word = [{"op": "shift", "c": _vec(-v)}]
+            if k < 5:
+                word += [{"op": "inv"}, {"op": "shift", "c": _vec(rand_cd(rng, level))}]
+            spec = {"kind": "moebius", "word": word, "level": level}
+            if k % 3 == 2:
+                out.append({"op": "rouche", "f": {"kind": "phrase", "text": "0.01 e"},
+                            "g": spec, "loop": loop.to_json()})
+            else:
+                out.append({"op": "zeros", "map": spec, "loop": loop.to_json()})
+    return out
+
+
+def _cli_bytes(tmp_path, capsys, command, payload):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "--json", str(path)])
+    return f"{code}\n{capsys.readouterr().out}".encode()
+
+
+# sha256 of the stdout and exit codes below, computed before the argument
+# principle was batched
+CONTOUR_PIN_SHA256 = "4f6e405bf2e635309cd74533d2bded51a51bb0e9cdf9f404c6bcc56d88a37662"
+
+
+@pytest.mark.filterwarnings("ignore:variable 1. e/ec multiplicities:UserWarning")
+def test_seeded_contour_requests_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    outputs = [_cli_bytes(tmp_path, capsys, "contour", p) for p in _pinned_contour_requests()]
+    codes = [o.split(b"\n", 1)[0] for o in outputs]
+    assert len(outputs) == 200 and codes.count(b"1") >= 60 and codes.count(b"0") >= 100
+    # the cell cap, lowered so that reaching it is cheap
+    monkeypatch.setattr(contour, "MAX_ZERO_CELLS", 24)
+    rect = {"a0": [0.0, 0.0, 0.0, 0.0], "M": [0.0, 0.0, 1.0, 0.0],
+            "x0": -1.0, "x1": 1.1, "y0": -0.9, "y1": 1.05}
+    for text in ("z", "(z + [-0.3, 0, 0.2, 0] e) z", "z^3"):
+        for min_cell in (0.5, 1e-3):
+            outputs.append(_cli_bytes(tmp_path, capsys, "contour", {
+                "op": "locate", "map": {"kind": "phrase", "text": text},
+                "rect": rect, "min_cell": min_cell}))
+    digest = hashlib.sha256(b"".join(outputs)).hexdigest()
+    assert digest == CONTOUR_PIN_SHA256

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import tracemalloc
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from cdconf import contour
 from cdconf import phrase as ph
-from cdconf.algebra import CdNumber, cd, inv, mul
+from cdconf.algebra import CdNumber, cd, inv, ln_principal, mul
+from cdconf.calculus import finite_value
 from cdconf.contour import (
     MAX_PARTITION_SEGMENTS,
     MaxPrincipleResult,
@@ -27,8 +29,10 @@ from cdconf.contour import (
 )
 from cdconf.errors import (
     BoundaryZeroError,
+    CdconfError,
     DegenerateLoopError,
     DimensionError,
+    DivisionByZeroError,
     DomainError,
     EvaluationError,
     PreconditionError,
@@ -678,3 +682,373 @@ def test_homotopy_invariance(rng):
     pts[-1] = pts[0]
     big = PlanarLoop(ZERO, I1, pts)
     assert count_zeros(f, small) == count_zeros(f, big) == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched argument principle: the bits of the per-point path
+# ---------------------------------------------------------------------------
+
+def _reference_adaptive_image(f, loop, boundary_tol, max_rounds=14):
+    """_adaptive_image one point at a time, as it was before the batching."""
+    pts = [np.asarray(p, float) for p in loop.pts]
+
+    def value(xy):
+        z = loop.a0 + CdNumber.real(float(xy[0]), loop.level) + loop.m * float(xy[1])
+        w = finite_value(f, z, contour._NOT_EVALUABLE)
+        if w.norm() <= boundary_tol:
+            raise BoundaryZeroError("|f| fell below tolerance on the contour")
+        return w
+
+    vals = [value(p) for p in pts]
+    for _ in range(max_rounds):
+        new_pts, new_vals = [pts[0]], [vals[0]]
+        split = False
+        for k in range(len(pts) - 1):
+            va, vb = vals[k], vals[k + 1]
+            cosang = np.dot(va.coeffs, vb.coeffs) / (va.norm() * vb.norm())
+            if cosang < math.cos(contour.PHASE_STEP_LIMIT):
+                mid = (pts[k] + pts[k + 1]) / 2.0
+                new_pts.append(mid)
+                new_vals.append(value(mid))
+                split = True
+            new_pts.append(pts[k + 1])
+            new_vals.append(vals[k + 1])
+        pts, vals = new_pts, new_vals
+        if not split:
+            return vals
+    raise BoundaryZeroError(
+        "image phase keeps aliasing after refinement; "
+        "a zero lies on or next to the contour")
+
+
+def _reference_phase_sum(vals, level):
+    """The phase loop of count_zeros, one step at a time."""
+    acc = np.zeros(1 << level)
+    for va, vb in zip(vals[:-1], vals[1:]):
+        acc += ln_principal(mul(inv(va), vb)).coeffs
+    return acc
+
+
+def _reference_image_direction(f, loop):
+    """_image_direction one point at a time."""
+    lvl = loop.level
+    scale = max(loop.length() / max(len(loop.pts) - 1, 1), 1e-6)
+    step = 1e-4 * scale
+    for k in range(0, len(loop.pts) - 1, max(1, (len(loop.pts) - 1) // 8)):
+        z0 = CdNumber(loop.embedded()[k])
+        try:
+            e1 = (f(z0 + CdNumber.real(step, lvl)) - f(z0 - CdNumber.real(step, lvl))) * (0.5 / step)
+            e2 = (f(z0 + loop.m * step) - f(z0 - loop.m * step)) * (0.5 / step)
+        except (CdconfError, ArithmeticError):
+            continue
+        if e1.norm() < 1e-12 or e2.norm() < 1e-12:
+            continue
+        u = mul(inv(e1), e2).imag()
+        if u.norm() > 1e-8:
+            return u * (1.0 / u.norm())
+    raise EvaluationError("could not orient the image curve (degenerate frame)")
+
+
+def _reference_count_zeros(f, gamma, boundary_tol=1e-9):
+    vals = _reference_adaptive_image(f, gamma, boundary_tol)
+    total = CdNumber(_reference_phase_sum(vals, gamma.level))
+    u = _reference_image_direction(f, gamma)
+    signed = float(np.dot(total.coeffs, u.coeffs)) / (2.0 * math.pi)
+    n = round(signed)
+    if abs(signed - n) > 0.25:
+        raise EvaluationError(
+            f"accumulated phase {signed:.3f} turns is not close to an integer")
+    return n
+
+
+def _reference_rouche_check(f, g, gamma):
+    """rouche_equal's boundary check one point at a time."""
+    for row in gamma.embedded()[:-1]:
+        zl = CdNumber(row)
+        fv = finite_value(f, zl, contour._NOT_EVALUABLE)
+        gv = finite_value(g, zl, contour._NOT_EVALUABLE)
+        if not (fv.norm() < gv.norm()):
+            raise PreconditionError(
+                f"|f| >= |g| on the contour ({fv.norm():.3e} >= {gv.norm():.3e})",
+                witness=zl,
+            )
+
+
+def _bits(x):
+    if isinstance(x, CdNumber):
+        return ("number", x.coeffs.tobytes())
+    if isinstance(x, list):
+        return ("numbers", [z.coeffs.tobytes() for z in x])
+    if isinstance(x, np.ndarray):
+        return ("numbers", [row.tobytes() for row in x])
+    return ("value", x)
+
+
+def _result(call, *args):
+    """What a call returns, as bytes, or the class, message and point or
+    witness of what it raises; every warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return _bits(call(*args))
+        except Exception as err:  # noqa: BLE001 - the exception is the outcome
+            where = getattr(err, "point", getattr(err, "witness", None))
+            return ("raised", type(err), str(err), where and _bits(where))
+
+
+def _spin_map(kind, level, centers):
+    """A map vanishing at each of the centers, as a lambda or a phrase."""
+    if kind == "lambda":
+        def f(z):
+            out = z - centers[0]
+            for c in centers[1:]:
+                out = mul(out, z - c)
+            return out
+        return f
+    out = ph.z() - ph.const(centers[0]) * ph.e()
+    for c in centers[1:]:
+        out = out * (ph.z() - ph.const(c) * ph.e())
+    return out
+
+
+def _zero_loop(rng, level, signed_zeros):
+    """A loop of few segments in the plane a0 + R + R M, and points near its
+    center.  On request a0 has -0.0 entries and M is a generator, so that
+    M y adds exact zeros to them: -0.0 + 0.0 is +0.0 in the per-point sum."""
+    a0 = rand_cd(rng, level, 0.3).coeffs
+    if signed_zeros:
+        a0 = np.where(rng.random(a0.shape) < 0.5, -0.0, a0)
+        m = CdNumber.basis(int(rng.integers(1, 1 << level)), level)
+    else:
+        m = rand_imag_unit(rng, level)
+    a0 = CdNumber(a0)
+    center = tuple(rng.normal(size=2) * 0.3)
+    loop = PlanarLoop.circle(a0, m, center=center, radius=float(rng.uniform(0.3, 1.5)),
+                             n=int(rng.integers(16, 48)))
+    near = [a0 + CdNumber.real(center[0] + x, level) + m * (center[1] + y)
+            for x, y in rng.uniform(-0.25, 0.25, size=(int(rng.integers(1, 5)), 2))]
+    return loop, near
+
+
+def _argument_principle_map(rng, kind, level, near):
+    if kind in ("spin-lambda", "spin-phrase"):
+        return _spin_map(kind[5:], level, near)
+    return _random_map(rng, kind, level)
+
+
+def _assert_argument_principle_matches(f, loop, boundary_tol=1e-9):
+    """_adaptive_image, the phase sum, _image_direction and count_zeros all
+    have the per-point bits and errors; returns the reference count."""
+    want = _result(_reference_adaptive_image, f, loop, boundary_tol)
+    assert _result(contour._adaptive_image, f, loop, boundary_tol) == want
+    if want[0] == "numbers":
+        vals = contour._adaptive_image(f, loop, boundary_tol)
+        ref_vals = [CdNumber(row) for row in vals]
+        assert (contour._phase_sum(vals).tobytes()
+                == _reference_phase_sum(ref_vals, loop.level).tobytes())
+    assert (_result(contour._image_direction, f, loop)
+            == _result(_reference_image_direction, f, loop))
+    count = _result(_reference_count_zeros, f, loop, boundary_tol)
+    assert _result(count_zeros, f, loop, boundary_tol) == count
+    return want, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["word", "affine", "lambda", "phrase", "spin-lambda",
+                             "spin-phrase"]),
+       level=st.sampled_from([2, 3]), signed_zeros=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_argument_principle_batched_equals_per_point(kind, level, signed_zeros, seed):
+    rng = np.random.default_rng(seed)
+    loop, near = _zero_loop(rng, level, signed_zeros)
+    _assert_argument_principle_matches(_argument_principle_map(rng, kind, level, near), loop)
+
+
+def test_argument_principle_on_seeded_loops_refines_and_counts():
+    # four zeros inside a loop of 16 to 47 segments turn the image by up
+    # to pi/2 a step, so most loops refine, some in several rounds
+    counts = {}
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        level = 2 + seed % 2
+        loop, near = _zero_loop(rng, level, signed_zeros=seed % 3 == 0)
+        kind = ("spin-lambda", "spin-phrase", "word", "affine", "phrase")[seed % 5]
+        f = _argument_principle_map(rng, kind, level, near)
+        want, count = _assert_argument_principle_matches(f, loop)
+        if want[0] == "numbers":
+            refined = len(want[1]) > len(loop.pts)
+            counts[refined, count] = counts.get((refined, count), 0) + 1
+    assert sum(n for (refined, _), n in counts.items() if refined) >= 10
+    assert sum(n for (_, c), n in counts.items() if c[0] == "value" and c[1] >= 2) >= 5
+
+
+def _rounds(f, loop):
+    """The refinement rounds that split a step, from the per-point path:
+    it succeeds with max_rounds = rounds + 1 and no fewer."""
+    for max_rounds in itertools.count(1):
+        try:
+            _reference_adaptive_image(f, loop, 1e-9, max_rounds)
+        except BoundaryZeroError:
+            continue
+        return max_rounds - 1
+
+
+class _CountingWord(MoebiusWord):
+    """A Moebius word that logs its point and batch calls."""
+
+    def __init__(self, generators, level):
+        super().__init__(generators, level)
+        object.__setattr__(self, "log", [])
+
+    def __call__(self, z):
+        self.log.append(("point", z.coeffs.tobytes()))
+        return super().__call__(z)
+
+    def apply_many(self, pts):
+        self.log.append(("batch", len(pts)))
+        return super().apply_many(pts)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_count_zeros_takes_one_batch_per_round(level):
+    # a pole just inside the loop makes the image spin past a vertex
+    rng = np.random.default_rng(40 + level)
+    loop, _ = _zero_loop(rng, level, signed_zeros=True)
+    (cx, cy), (x, y) = loop.pts[:-1].mean(axis=0), loop.pts[2]
+    pole = loop.a0 + CdNumber.real(cx + 0.97 * (x - cx), level) + loop.m * (cy + 0.97 * (y - cy))
+    word = [Shift(-pole), Inv(), Shift(rand_cd(rng, level, 0.1))]
+    f = _CountingWord(word, level)
+    rounds = _rounds(MoebiusWord(word, level), loop)
+    assert rounds >= 2
+    want = _reference_count_zeros(MoebiusWord(word, level), loop)
+    assert count_zeros(f, loop) == want
+    kinds = [k for k, _ in f.log]
+    # the vertices, the midpoints of each round, and one frame of four points
+    assert kinds == ["batch"] * (1 + rounds + 1)
+    assert f.log[0][1] == len(loop.pts) and f.log[-1][1] == 4
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_a_plain_map_is_called_at_the_per_point_points_in_order(level):
+    # a triple zero inside 16 segments turns the image by 3 pi / 8 a step
+    rng = np.random.default_rng(50 + level)
+    loop, near = _zero_loop(rng, level, signed_zeros=True)
+    loop = PlanarLoop.circle(loop.a0, loop.m, center=tuple(loop.pts[:-1].mean(axis=0)),
+                             radius=1.0, n=16)
+    spin = _spin_map("lambda", level, near[:1] * 3)
+    calls = []
+
+    def f(z):
+        calls.append(z.coeffs.tobytes())
+        return spin(z)
+
+    want = _reference_count_zeros(f, loop)
+    reference_calls, calls[:] = list(calls), []
+    assert count_zeros(f, loop) == want
+    assert calls == reference_calls and len(calls) > len(loop.pts) + 4
+
+
+def _vertex(loop, k):
+    x, y = loop.pts[k]
+    return loop.a0 + CdNumber.real(float(x), loop.level) + loop.m * float(y)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_a_pole_on_the_loop_keeps_its_error(level):
+    rng = np.random.default_rng(60 + level)
+    loop, _ = _zero_loop(rng, level, signed_zeros=True)
+    pole, c = _vertex(loop, 5), rand_cd(rng, level)
+    word = MoebiusWord([Shift(-pole), Inv(), Shift(c)], level)
+    at_pole = (EvaluationError, contour._NOT_EVALUABLE, ("number", pole.coeffs.tobytes()))
+    for f, want in ((word, at_pole), (_Counted(word), at_pole),
+                    (lambda z: inv(z - pole) + c, (DivisionByZeroError, "inverse of zero", None))):
+        _, count = _assert_argument_principle_matches(f, loop)
+        assert count[1:] == want
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_a_boundary_zero_before_a_later_pole_raises_first(level, zero_first):
+    # (z - b)^-1 - (a - b)^-1 vanishes at a and has its pole at b
+    rng = np.random.default_rng(70 + level)
+    loop, _ = _zero_loop(rng, level, signed_zeros=True)
+    a, b = (_vertex(loop, 3), _vertex(loop, 9))[::1 if zero_first else -1]
+    word = MoebiusWord([Shift(-b), Inv(), Shift(-inv(a - b))], level)
+    want = ((BoundaryZeroError, contour._BOUNDARY_ZERO, None) if zero_first else
+            (EvaluationError, contour._NOT_EVALUABLE, ("number", b.coeffs.tobytes())))
+    for f in (word, _Counted(word), lambda z: word(z)):
+        _, count = _assert_argument_principle_matches(f, loop)
+        assert count[1:] == want
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("error", [RuntimeError("batch failed"), ValueError("bad shape"),
+                                   EvaluationError("refused"), DomainError("refused")])
+def test_a_raising_batch_falls_back_to_the_per_point_path(level, error):
+    rng = np.random.default_rng(80 + level)
+    loop, near = _zero_loop(rng, level, signed_zeros=False)
+    word = MoebiusWord([Shift(-near[0]), Inv(), Shift(rand_cd(rng, level))], level)
+    f = _Counted(word, batch_error=error)
+    _assert_argument_principle_matches(f, loop)
+    assert f.batches > 0 and f.calls > 0
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_rouche_violation_and_pole_keep_their_witness(level):
+    rng = np.random.default_rng(90 + level)
+    loop, _ = _zero_loop(rng, level, signed_zeros=True)
+    rows = loop.embedded()
+    big = AffineMap(CdNumber.one(level), CdNumber.one(level), rand_cd(rng, level, 3.0))
+    g = AffineMap(rand_cd(rng, level), rand_cd(rng, level), rand_cd(rng, level))
+    pole = MoebiusWord([Shift(-CdNumber(rows[4])), Inv()], level)
+    for f, h in ((big, g), (big, _Counted(g)), (g, pole),
+                 (_Counted(g), pole), (pole, g)):
+        want = _result(_reference_rouche_check, f, h, loop)
+        assert want[0] == "raised"
+        assert _result(rouche_equal, f, h, loop) == want
+
+
+def test_a_pole_at_a_frame_point_keeps_its_type_error():
+    # the loop keeps clear of the pole, which sits at a point of the first
+    # frame: point by point, f(z0 + M step) - f(z0 - M step) was
+    # INF - CdNumber, and f(z0 + step) - f(z0 - step) was CdNumber - INF
+    pts = ([(0.0, 0.0)] + [(0.001 * k, 0.0) for k in range(1, 15)]
+           + [(10.0, 0.0), (10.0, -10.0), (0.0, -10.0)]
+           + [(0.0, -0.001 * k) for k in range(14, 0, -1)] + [(0.0, 0.0)])
+    loop = PlanarLoop(ZERO, I1, pts)
+    step = 1e-4 * loop.length() / (len(pts) - 1)
+    for shift, operands in ((I1 * step, "'_Infinity' and 'CdNumber'"),
+                            (CdNumber.real(-step, 2), "'CdNumber' and '_Infinity'")):
+        word = MoebiusWord([Shift(-(loop.point(0) + shift)), Inv()], 2)
+        want = (TypeError, f"unsupported operand type(s) for -: {operands}", None)
+        for f in (word, _Counted(word), lambda z: word(z)):
+            assert _result(_reference_image_direction, f, loop)[1:] == want
+            assert _result(count_zeros, f, loop)[1:] == want
+            assert _result(_reference_count_zeros, f, loop)[1:] == want
+        calls = []
+        for count in (_reference_count_zeros, count_zeros):
+            log = []
+            _result(count, lambda z: log.append(z.coeffs.tobytes()) or word(z), loop)
+            calls.append(log)
+        assert calls[0] == calls[1]  # both points of the failing difference
+        # f + g meets the same pole in the same frame
+        assert _result(rouche_equal, ph.parse("0.001 e"), word, loop)[1:] == want
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("k, want", [(0, (DivisionByZeroError, "inverse of zero")),
+                                     (6, (DomainError, "logarithm of zero"))])
+def test_a_zero_on_the_loop_under_a_negative_tolerance_keeps_its_error(level, k, want):
+    # no boundary test can fire, so the zero reaches the phase sum: the
+    # step into vertex k takes the log of 0, the step out of it inverts 0
+    rng = np.random.default_rng(100 + level)
+    loop, _ = _zero_loop(rng, level, signed_zeros=True)
+    f = MoebiusWord([Shift(-_vertex(loop, k))], level)
+    errors = []
+    for count in (_reference_count_zeros, count_zeros):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0 / 0 in the step test
+            with pytest.raises(CdconfError) as err:
+                count(f, loop, -1.0)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1] == want

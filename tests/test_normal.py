@@ -509,13 +509,16 @@ def test_a_raising_batch_falls_back_to_the_per_point_path():
 # the pruned lattice and the pruned SVDs: the bytes of the full computation
 # ---------------------------------------------------------------------------
 
-def _meshgrid_lattice(grid, per_axis):
+def _meshgrid_lattice(grid, per_axis, relative_below_one=True):
     """The full per_axis^dim meshgrid filtered to the ball, as the grid
-    built it before the pruning: the reference for the pruned build."""
+    built it before the pruning: the reference for the pruned build.  Below
+    a radius of 1 the ball is tested in units of the radius; without
+    relative_below_one, with the absolute slack the grid once used there."""
     dim = grid.center.dim
     axes = [np.linspace(-grid.radius, grid.radius, per_axis)] * dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    return mesh[np.linalg.norm(mesh, axis=1) <= grid.radius + 1e-12]
+    unit = min(grid.radius, 1.0) if relative_below_one else 1.0
+    return mesh[np.linalg.norm(mesh / unit, axis=1) <= grid.radius / unit + 1e-12]
 
 
 def _assert_lattice_matches(grid, per_axis):
@@ -565,6 +568,28 @@ def test_pruned_lattice_has_the_meshgrid_bytes_at_any_radius(seed, level, expone
     center = CdNumber(rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3))
     grid = CompactGrid(center, float(10.0 ** exponent * rng.uniform(1.0, 1.34)), 1)
     _assert_lattice_matches(grid, int(rng.integers(0, 10 if level == 2 else 5)))
+
+
+@pytest.mark.parametrize("radius", [1e-9, 1e-12, 1e-13, 1e-100, 1e-300])
+@pytest.mark.parametrize("level", [2, 3])
+def test_a_tiny_grid_keeps_its_nodes_in_the_ball(level, radius):
+    # an absolute slack of 1e-12 kept the cube's corners at 2 radius, and
+    # at 1e-300 every square underflowed to 0 and the whole cube passed
+    nodes = CompactGrid(CdNumber.zero(level), radius, 16).nodes()
+    assert np.max(np.linalg.norm(nodes / radius, axis=1)) <= 1.0 + 1e-12
+    assert len(nodes) == len(CompactGrid(CdNumber.zero(level), 1.0, 16).nodes())
+
+
+@settings(max_examples=100)
+@given(level=st.sampled_from([2, 3]), exponent=st.floats(-9.34, 3.0),
+       per_axis=st.integers(2, 22))
+def test_a_radius_above_4e_10_keeps_the_absolute_slack_bytes(level, exponent, per_axis):
+    # off-sphere lattice norms sit at least 1/441 of the radius from the
+    # sphere, so a slack of 1e-12 absolute or relative keeps the same nodes
+    per_axis = per_axis if level == 2 else min(per_axis, 4)
+    grid = CompactGrid(CdNumber.zero(level), float(10.0 ** exponent), 1)
+    want = _meshgrid_lattice(grid, per_axis, relative_below_one=False)
+    assert grid._lattice(per_axis).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("radius", [1e300, 1e155, 1.35e154])
