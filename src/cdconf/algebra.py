@@ -288,9 +288,6 @@ class CdNumber:
         c[0] = 0.0
         return CdNumber(c)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
-
     def to_json(self) -> list[float]:
         return [float(v) for v in self.coeffs]
 

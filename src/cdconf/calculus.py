@@ -45,16 +45,15 @@ __all__ = [
 ]
 
 DEFAULT_STEP = 1e-5
+GIVENS_DROP_BELOW = 1e-12  # factor_octonion_givens omits angles this small
 
 
 @dataclass(frozen=True)
 class RealJacobian:
-    """Real matrix of a directional-derivative operator plus its provenance."""
+    """Real matrix of a directional-derivative operator."""
 
     level: int
     entries: np.ndarray
-    step: float = 0.0
-    method: str = "analytic"
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -68,9 +67,6 @@ class RealJacobian:
     @property
     def dim(self) -> int:
         return 1 << self.level
-
-    def apply(self, h: CdNumber) -> CdNumber:
-        return CdNumber(self.entries @ h.coeffs)
 
 
 def _conj_matrix(dim: int) -> np.ndarray:
@@ -153,8 +149,7 @@ def jacobian(f, z: CdNumber, step: float = DEFAULT_STEP) -> RealJacobian:
     pts = central_stencil(z.coeffs, step)
     samples = values_at(f, pts, lambda idx: finite_value(
         f, CdNumber(pts[idx]), "non-finite sample in jacobian").coeffs)
-    return RealJacobian(z.level, central_differences(samples, step), step=step,
-                        method="central-2")
+    return RealJacobian(z.level, central_differences(samples, step))
 
 
 @dataclass(frozen=True)
@@ -342,13 +337,12 @@ class OctGivensFactorization:
         return self.lam * givens_product(self.angles, 1 << self.level)
 
 
-def factor_octonion_givens(j: RealJacobian, tol: float = 1e-8,
-                           drop_below: float = 1e-12) -> OctGivensFactorization:
+def factor_octonion_givens(j: RealJacobian, tol: float = 1e-8) -> OctGivensFactorization:
     """QR-style Givens sweep of an 8x8 positive similarity.
 
     Eliminates the below-diagonal entries column by column; the inverse
     rotations, read back in lexicographic plane order, reconstruct J/lambda.
-    At most 28 angles; angles below drop_below are omitted.
+    At most 28 angles; angles of at most GIVENS_DROP_BELOW are omitted.
     """
     if j.level != 3:
         raise DimensionError("octonion Givens factorization requires level 3")
@@ -361,7 +355,7 @@ def factor_octonion_givens(j: RealJacobian, tol: float = 1e-8,
             t = math.atan2(a[m, k], a[k, k])
             if t != 0.0:
                 a = givens_matrix(k, m, t, dim) @ a
-            if abs(t) > drop_below:
+            if abs(t) > GIVENS_DROP_BELOW:
                 angles.append((k, m, -t))
     out = OctGivensFactorization(lam, tuple(angles))
     err = _spectral_norm(out.matrix() - j.entries) / max(lam, 1.0)

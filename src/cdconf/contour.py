@@ -2,6 +2,10 @@
 
 Loops live in affine planes a0 + R + R*M with a directing unit imaginary
 element M; they are closed polylines given by in-plane coordinates (x, y).
+Every in-plane point, loop vertex or disc sample, is embedded by one rule,
+a0 + x + M y in the order of the per-point CdNumber sum, and every map
+sample on the contour by one finite-value rule: a pole or a non-finite
+value is an EvaluationError at its point.
 The line-integral operator realizes the partition sums of the operator
 kernel (the hat of the phrase's antiderivative) on degree-exact Gauss nodes
 (at most 8), refined dyadically; for a one-sided tagged sum the limit is
@@ -58,13 +62,26 @@ __all__ = [
 ]
 
 PHASE_STEP_LIMIT = math.pi / 4  # re-sample an image curve above this per-step phase
+MAX_IMAGE_ROUNDS = 14  # refinement rounds of an image curve before it counts as aliasing
+ON_CURVE_TOL = 1e-12  # a winding reference point this close to the polyline touches it
+CELL_EDGE_SEGMENTS = 12  # segments per edge of a locate_zeros cell boundary
+_DIRECTING_TOL = 1e-12  # slack of the unit imaginary test of M
+_PLANE_TOL = 1e-9  # relative off-plane residual of an in-plane reference point
 _NOT_EVALUABLE = "map not evaluable on the contour"
 _BOUNDARY_ZERO = "|f| fell below tolerance on the contour"
 
 
-def _check_directing(m: CdNumber, tol: float = 1e-12):
-    if abs(m.re) > tol or abs(m.norm() - 1.0) > tol:
+def _check_directing(m: CdNumber):
+    if abs(m.re) > _DIRECTING_TOL or abs(m.norm() - 1.0) > _DIRECTING_TOL:
         raise DomainError("directing element must be unit imaginary")
+
+
+def _plane_points(a0: CdNumber, m: CdNumber, xs, ys) -> np.ndarray:
+    """(n, 2^r) points a0 + x + M y, summed in the order of CdNumbers point by
+    point, so a -0.0 of a0 still meets +0.0."""
+    reals = np.zeros((len(xs), a0.dim))
+    reals[:, 0] = xs
+    return (a0.coeffs + reals) + m.coeffs * np.asarray(ys)[:, None]
 
 
 class PlanarPath:
@@ -96,9 +113,7 @@ class PlanarPath:
 
     def embedded(self) -> np.ndarray:
         """(n, 2^r) coefficient array of the vertices inside the algebra."""
-        base = np.tile(self.a0.coeffs, (len(self.pts), 1))
-        base[:, 0] += self.pts[:, 0]
-        return base + np.outer(self.pts[:, 1], self.m.coeffs)
+        return _plane_points(self.a0, self.m, self.pts[:, 0], self.pts[:, 1])
 
     def point(self, k: int) -> CdNumber:
         return CdNumber(self.embedded()[k])
@@ -234,23 +249,30 @@ class WindingResult:
     raw_phase: float
 
 
-def _plane_coords(loop: PlanarPath, a: CdNumber, tol: float = 1e-9):
-    """Coordinates of a in the loop's plane; DomainError when off-plane."""
-    d = a - loop.a0
+def _plane_projection(a0: CdNumber, m: CdNumber, p: CdNumber):
+    """(x, y, off): the coordinates of p's projection on the plane
+    a0 + R + R*M, and p's distance from that plane."""
+    d = p - a0
     x = d.re
-    y = float(np.dot(d.coeffs, loop.m.coeffs))
-    resid = (d - CdNumber.real(x, a.level) - loop.m * y).norm()
-    if resid > tol * (1.0 + d.norm()):
+    y = float(np.dot(d.coeffs, m.coeffs))
+    return x, y, (d - CdNumber.real(x, p.level) - m * y).norm()
+
+
+def _plane_coords(loop: PlanarPath, a: CdNumber):
+    """Coordinates of a in the loop's plane; DomainError when off-plane."""
+    x, y, off = _plane_projection(loop.a0, loop.m, a)
+    if off > _PLANE_TOL * (1.0 + (a - loop.a0).norm()):
         raise DomainError("reference point lies outside the loop's plane")
     return x, y
 
 
-def winding(gamma: PlanarLoop, a: CdNumber, on_curve_tol: float = 1e-12) -> WindingResult:
+def winding(gamma: PlanarLoop, a: CdNumber) -> WindingResult:
     """Exact turn count of the polyline about an in-plane point a.
 
     Phase increments are the signed angles between consecutive difference
     vectors, each strictly inside (-pi, pi) for a point off the polyline,
-    so no lifting ambiguity arises.
+    so no lifting ambiguity arises.  A point within ON_CURVE_TOL of the
+    polyline raises DegenerateLoopError.
     """
     ax, ay = _plane_coords(gamma, a)
     vx = gamma.pts[:, 0] - ax
@@ -262,7 +284,7 @@ def winding(gamma: PlanarLoop, a: CdNumber, on_curve_tol: float = 1e-12) -> Wind
     t = np.clip(np.divide(vx[:-1] * ex + vy[:-1] * ey, seglen2,
                           out=np.zeros_like(ex), where=seglen2 > 0), 0.0, 1.0)
     dist2 = (vx[:-1] - t * ex) ** 2 + (vy[:-1] - t * ey) ** 2
-    if np.min(dist2) <= on_curve_tol ** 2 or np.min(r2) <= on_curve_tol ** 2:
+    if np.min(dist2) <= ON_CURVE_TOL ** 2 or np.min(r2) <= ON_CURVE_TOL ** 2:
         raise DegenerateLoopError("reference point touches the curve")
     cross = vx[:-1] * vy[1:] - vy[:-1] * vx[1:]
     dot = vx[:-1] * vx[1:] + vy[:-1] * vy[1:]
@@ -275,17 +297,10 @@ def winding(gamma: PlanarLoop, a: CdNumber, on_curve_tol: float = 1e-12) -> Wind
 # argument principle
 # ---------------------------------------------------------------------------
 
-def _plane_points(a0: CdNumber, m: CdNumber, xs, ys) -> np.ndarray:
-    """(n, 2^r) points a0 + x + M y, summed in the order of CdNumbers point by
-    point, so a -0.0 of a0 still meets +0.0."""
-    reals = np.zeros((len(xs), a0.dim))
-    reals[:, 0] = xs
-    return (a0.coeffs + reals) + m.coeffs * np.asarray(ys)[:, None]
-
-
-def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float, max_rounds: int = 14):
+def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float):
     """Sample f along the loop, refining parameters until consecutive image
-    samples subtend at most PHASE_STEP_LIMIT.
+    samples subtend at most PHASE_STEP_LIMIT, for at most MAX_IMAGE_ROUNDS
+    rounds.
 
     The vertices, and then each round's midpoints, are evaluated by one
     values_at call; a point where f is not evaluable, or where |f| is at
@@ -308,7 +323,7 @@ def _adaptive_image(f, loop: PlanarLoop, boundary_tol: float, max_rounds: int = 
 
     pts = loop.pts
     vals, norms = image(pts)
-    for _ in range(max_rounds):
+    for _ in range(MAX_IMAGE_ROUNDS):
         cosang = row_dots(vals[:-1], vals[1:]) / (norms[:-1] * norms[1:])
         split = np.flatnonzero(cosang < math.cos(PHASE_STEP_LIMIT)) + 1
         if not len(split):
@@ -359,10 +374,10 @@ def _image_direction(f, loop: PlanarLoop) -> CdNumber:
 
     Returns the unit imaginary part of E1^{-1} E2, the directing element
     of the image orientation; used to sign the accumulated phase.  Each
-    frame's four stencil points are evaluated by one values_at call; a frame
-    where f raises CdconfError or ArithmeticError, or is degenerate, is
-    skipped, and a point at infinity raises the TypeError of the per-point
-    differences f(z0 + s) - f(z0 - s).
+    frame's four stencil points are evaluated by one values_at call, under
+    the finite-value rule of every map sample on the contour; a frame where
+    f raises CdconfError or ArithmeticError, has a pole or a non-finite
+    value, or is degenerate, is skipped.
     """
     scale = max(loop.length() / max(len(loop.pts) - 1, 1), 1e-6)
     step = 1e-4 * scale
@@ -372,19 +387,9 @@ def _image_direction(f, loop: PlanarLoop) -> CdNumber:
     for k in range(0, len(loop.pts) - 1, max(1, (len(loop.pts) - 1) // 8)):
         z0 = verts[k]
         pts = np.stack([z0 + real_step, z0 - real_step, z0 + m_step, z0 - m_step])
-
-        def value(idx):
-            w = f(CdNumber(pts[idx]))
-            if not isinstance(w, CdNumber):  # INF: the differences raise
-                j = idx[0]                   # their per-point TypeError
-                if j % 2:
-                    CdNumber(pts[j - 1]) - w
-                else:
-                    w - f(CdNumber(pts[j + 1]))
-            return w.coeffs
-
         try:
-            w = values_at(f, pts, value)
+            w = values_at(f, pts, lambda idx: finite_value(
+                f, CdNumber(pts[idx]), _NOT_EVALUABLE).coeffs)
         except (CdconfError, ArithmeticError):
             continue
         e1 = CdNumber((w[0] - w[1]) * (0.5 / step))
@@ -438,7 +443,8 @@ def rouche_equal(f, g, gamma: PlanarLoop, boundary_tol: float = 1e-9) -> RoucheR
                 witness=zl,
             )
     n_g = count_zeros(g, gamma, boundary_tol)
-    n_h = count_zeros(lambda z: f(z) + g(z), gamma, boundary_tol)
+    n_h = count_zeros(lambda z: (finite_value(f, z, _NOT_EVALUABLE)
+                                 + finite_value(g, z, _NOT_EVALUABLE)), gamma, boundary_tol)
     return RoucheResult(n_g == n_h, n_g, n_h)
 
 
@@ -470,8 +476,12 @@ def disc_samples(loop_center, radius, n, rng, a0=None, m=None, level=2):
 
 def _moduli(f, boundary: np.ndarray, samples: list):
     """|f| on the boundary rows and on the samples, all evaluated by one
-    values_at call; a failure names its point as PreconditionError."""
+    values_at call; a failure names its point as PreconditionError.  A
+    sample that is not a CdNumber at the boundary's level raises
+    DimensionError before any evaluation."""
     n = len(boundary)
+    if not all(isinstance(z, CdNumber) and z.dim == boundary.shape[1] for z in samples):
+        raise DimensionError("interior samples must be CdNumbers at the loop's level")
 
     def value(idx):
         z = CdNumber(boundary[idx[0]]) if idx[0] < n else samples[idx[0] - n]
@@ -483,11 +493,7 @@ def _moduli(f, boundary: np.ndarray, samples: list):
             raise PreconditionError("non-finite value (pole?) at a sample", witness=z)
         return w.coeffs
 
-    if all(isinstance(z, CdNumber) and z.dim == boundary.shape[1] for z in samples):
-        norms = row_norms(values_at(f, np.vstack([boundary, *(z.coeffs for z in samples)]),
-                                    value))
-    else:  # no one array holds these samples
-        norms = np.array([CdNumber(value((k,))).norm() for k in range(n + len(samples))])
+    norms = row_norms(values_at(f, np.vstack([boundary, *(z.coeffs for z in samples)]), value))
     return norms[:n], norms[n:]
 
 
@@ -532,9 +538,9 @@ class PlaneRect:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise DomainError("rectangle bounds must be increasing")
 
-    def boundary(self, per_edge: int = 12) -> PlanarLoop:
+    def boundary(self) -> PlanarLoop:
         return PlanarLoop.rectangle(self.a0, self.m, self.x0, self.x1,
-                                    self.y0, self.y1, per_edge)
+                                    self.y0, self.y1, CELL_EDGE_SEGMENTS)
 
     def center_point(self) -> CdNumber:
         cx, cy = (self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CdNumber, cd, conj_coeffs, inv, mul, mul_coeffs, real_number
+from .algebra import CdNumber, cd, conj_coeffs, inv, mul, mul_coeffs, real_number, row_dots
 from .calculus import givens_product
 from .errors import DimensionError, DomainError
 
@@ -91,9 +91,7 @@ class Inv:
     level = None
 
     def apply_coeffs(self, x):
-        # |x|^2 as a (1, n) @ (n, 1) product gives np.dot's bits on every row
-        n2 = (x[..., None, :] @ x[..., :, None])[..., 0]
-        return conj_coeffs(x) / n2
+        return conj_coeffs(x) / row_dots(x, x)[..., None]
 
     def inverted(self):
         return Inv()

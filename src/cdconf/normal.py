@@ -130,13 +130,6 @@ class CompactGrid:
         return CompactGrid(self.center, self.radius, self.resolution,
                            self.step, 2 * per_axis - 1)
 
-    def to_json(self):
-        return {
-            "center": self.center.to_json(),
-            "radius": self.radius,
-            "resolution": self.resolution,
-        }
-
 
 @dataclass(frozen=True)
 class RhoValue:

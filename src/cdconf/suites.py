@@ -24,8 +24,8 @@ from .calculus import (
     left_mul_matrix,
     right_mul_matrix,
 )
-from .contour import (PlanarLoop, PlanarPath, count_zeros, disc_samples, line_integral,
-                      max_principle_check, rouche_equal)
+from .contour import (PlanarLoop, PlanarPath, _plane_projection, count_zeros, disc_samples,
+                      line_integral, max_principle_check, rouche_equal)
 from .domains import (
     BallAutomorphism,
     HomogeneousNorm,
@@ -417,10 +417,7 @@ def _disc_pole_distance(word, a0, m, radius):
     """Distance from the word's poles to the closed planar disc."""
     best = math.inf
     for p in word.poles():
-        d = p - a0
-        px = d.re
-        py = float(np.dot(d.coeffs, m.coeffs))
-        off = (d - CdNumber.real(px, p.level) - m * py).norm()
+        px, py, off = _plane_projection(a0, m, p)
         inplane = max(0.0, math.hypot(px, py) - radius)
         best = min(best, math.hypot(off, inplane))
     return best

@@ -274,6 +274,39 @@ def test_hat_takes_its_side(side):
     assert out["result"] != ph.hat_operator(ph.parse(text), 1, other).render()
 
 
+def _main_json(tmp_path, capsys, command, payload, *args):
+    """The exit code and the parsed stdout of cli.main on a payload file."""
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "--json", str(path), *args])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_schwarz_of_a_squared_ball_involution_holds(tmp_path, capsys, level):
+    # S_a is an involution of the ball, so S_a(S_a(z)) = z up to rounding
+    a = [0.3, -0.2] + [0.1] * ((1 << level) - 2)
+    payload = {"op": "schwarz", "map": {"kind": "ball-squared", "a": a}, "samples": 64}
+    code, out = _main_json(tmp_path, capsys, "domain", payload, "--seed", "5")
+    assert code == 0 and out["holds"] is True
+    assert 1.0 - 1e-9 <= out["worst_ratio"] <= 1.0 + 1e-9
+    assert _main_json(tmp_path, capsys, "domain", payload, "--seed", "5") == (code, out)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_inverse_apply_undoes_apply(tmp_path, capsys, level):
+    rng = np.random.default_rng(level)
+    word = random_word(rng, level, n_gens=4).to_json()
+    z = _vec(rand_cd(rng, level, 0.5))
+    code, out = _main_json(tmp_path, capsys, "moebius",
+                           {"op": "apply", "word": word, "z": z, "level": level})
+    assert code == 0 and out["result"] != "inf"
+    code, back = _main_json(tmp_path, capsys, "moebius", {
+        "op": "inverse-apply", "word": word, "z": out["result"], "level": level})
+    assert code == 0
+    assert np.allclose(back["result"], z, rtol=0.0, atol=1e-9)
+
+
 def _normal_rho(radius):
     payload = {"op": "rho", "maps": [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
                                      [[1, 0.5, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]],

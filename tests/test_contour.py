@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import struct
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdconf import contour
+from cdconf import cli, contour
 from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, inv, ln_principal, mul
 from cdconf.calculus import finite_value
@@ -730,15 +731,19 @@ def _reference_phase_sum(vals, level):
 
 
 def _reference_image_direction(f, loop):
-    """_image_direction one point at a time."""
+    """_image_direction one point at a time, each value under finite_value."""
     lvl = loop.level
     scale = max(loop.length() / max(len(loop.pts) - 1, 1), 1e-6)
     step = 1e-4 * scale
+
+    def fv(z):
+        return finite_value(f, z, contour._NOT_EVALUABLE)
+
     for k in range(0, len(loop.pts) - 1, max(1, (len(loop.pts) - 1) // 8)):
-        z0 = CdNumber(loop.embedded()[k])
+        z0 = _vertex(loop, k)
         try:
-            e1 = (f(z0 + CdNumber.real(step, lvl)) - f(z0 - CdNumber.real(step, lvl))) * (0.5 / step)
-            e2 = (f(z0 + loop.m * step) - f(z0 - loop.m * step)) * (0.5 / step)
+            e1 = (fv(z0 + CdNumber.real(step, lvl)) - fv(z0 - CdNumber.real(step, lvl))) * (0.5 / step)
+            e2 = (fv(z0 + loop.m * step) - fv(z0 - loop.m * step)) * (0.5 / step)
         except (CdconfError, ArithmeticError):
             continue
         if e1.norm() < 1e-12 or e2.norm() < 1e-12:
@@ -763,8 +768,8 @@ def _reference_count_zeros(f, gamma, boundary_tol=1e-9):
 
 def _reference_rouche_check(f, g, gamma):
     """rouche_equal's boundary check one point at a time."""
-    for row in gamma.embedded()[:-1]:
-        zl = CdNumber(row)
+    for k in range(len(gamma.pts) - 1):
+        zl = _vertex(gamma, k)
         fv = finite_value(f, zl, contour._NOT_EVALUABLE)
         gv = finite_value(g, zl, contour._NOT_EVALUABLE)
         if not (fv.norm() < gv.norm()):
@@ -1008,31 +1013,72 @@ def test_rouche_violation_and_pole_keep_their_witness(level):
         assert _result(rouche_equal, f, h, loop) == want
 
 
-def test_a_pole_at_a_frame_point_keeps_its_type_error():
+def test_a_pole_at_a_frame_point_skips_the_frame(tmp_path, capsys):
     # the loop keeps clear of the pole, which sits at a point of the first
-    # frame: point by point, f(z0 + M step) - f(z0 - M step) was
-    # INF - CdNumber, and f(z0 + step) - f(z0 - step) was CdNumber - INF
+    # frame, z0 + M step or z0 - step: that frame is skipped like any frame
+    # where the map is not evaluable, and the next one orients the image
     pts = ([(0.0, 0.0)] + [(0.001 * k, 0.0) for k in range(1, 15)]
            + [(10.0, 0.0), (10.0, -10.0), (0.0, -10.0)]
            + [(0.0, -0.001 * k) for k in range(14, 0, -1)] + [(0.0, 0.0)])
     loop = PlanarLoop(ZERO, I1, pts)
     step = 1e-4 * loop.length() / (len(pts) - 1)
-    for shift, operands in ((I1 * step, "'_Infinity' and 'CdNumber'"),
-                            (CdNumber.real(-step, 2), "'CdNumber' and '_Infinity'")):
+    for shift in (I1 * step, CdNumber.real(-step, 2)):
         word = MoebiusWord([Shift(-(loop.point(0) + shift)), Inv()], 2)
-        want = (TypeError, f"unsupported operand type(s) for -: {operands}", None)
         for f in (word, _Counted(word), lambda z: word(z)):
-            assert _result(_reference_image_direction, f, loop)[1:] == want
-            assert _result(count_zeros, f, loop)[1:] == want
-            assert _result(_reference_count_zeros, f, loop)[1:] == want
+            direction = _result(_reference_image_direction, f, loop)
+            assert direction[0] == "number"
+            assert _result(contour._image_direction, f, loop) == direction
+            assert _result(count_zeros, f, loop) == _result(_reference_count_zeros, f, loop)
+            assert count_zeros(f, loop) == 0
         calls = []
         for count in (_reference_count_zeros, count_zeros):
             log = []
-            _result(count, lambda z: log.append(z.coeffs.tobytes()) or word(z), loop)
+            count(lambda z: log.append(z.coeffs.tobytes()) or word(z), loop)
             calls.append(log)
-        assert calls[0] == calls[1]  # both points of the failing difference
-        # f + g meets the same pole in the same frame
-        assert _result(rouche_equal, ph.parse("0.001 e"), word, loop)[1:] == want
+        assert calls[0] == calls[1]
+        # f + g meets the same pole in the same frame, and skips it too
+        assert rouche_equal(ph.parse("0.001 e"), word, loop) == contour.RoucheResult(True, 0, 0)
+        spec = {"kind": "moebius", "word": word.to_json(), "level": 2}
+        for payload, want in (({"op": "zeros", "map": spec}, {"count": 0}),
+                              ({"op": "rouche", "f": {"kind": "phrase", "text": "0.001 e"},
+                                "g": spec}, {"holds": True, "n_g": 0, "n_h": 0})):
+            request = tmp_path / "request.json"
+            request.write_text(json.dumps({**payload, "loop": loop.to_json()}))
+            assert cli.main(["contour", "--json", str(request)]) == 0
+            assert json.loads(capsys.readouterr().out) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_embedded_rows_are_the_per_point_sums(level, seed):
+    # a0 has -0.0 entries and M is a generator, so M y adds signed zeros
+    loop, _ = _zero_loop(np.random.default_rng(seed), level, signed_zeros=True)
+    rows = loop.embedded()
+    assert [row.tobytes() for row in rows] == [
+        _vertex(loop, k).coeffs.tobytes() for k in range(len(loop.pts))]
+    path = PlanarPath.segment(loop.a0, loop.m, (0.5, -1.0), (-0.5, 1.0), 7)
+    assert [row.tobytes() for row in path.embedded()] == [
+        _vertex(path, k).coeffs.tobytes() for k in range(len(path.pts))]
+
+
+def test_a_negative_zero_of_a0_meets_a_positive_zero():
+    # -0.0 + 0.0 is +0.0, as in the per-point sum, whatever the sign of M y
+    loop = PlanarLoop.circle(CdNumber([-0.0] * 4), I1, radius=1.0, n=16)
+    rows = loop.embedded()
+    assert not np.any(np.signbit(rows[:, 2:]))
+
+
+@pytest.mark.parametrize("kind", ["word", "lambda"])
+def test_a_sample_at_another_level_is_refused_before_any_evaluation(kind, unit_loop):
+    if kind == "word":
+        f = _CountingWord([Shift(I1), Inv()], 2)
+        calls = f.log
+    else:
+        calls = []
+        f = lambda z: calls.append(z) or z
+    with pytest.raises(DimensionError, match="loop's level"):
+        max_principle_check(f, unit_loop, [CdNumber.zero(2), CdNumber.basis(5, 3)])
+    assert calls == []
 
 
 @pytest.mark.parametrize("level", [2, 3])
