@@ -7,7 +7,9 @@ division property, so only r = 2, 3 are used by the analytic modules.
 Elements are stored as flat coefficient vectors over the standard
 generators i_0 = 1, i_1, ..., i_{2^r-1}.  Generators multiply by the XOR
 rule i_i i_j = +-i_{i^j}, so coefficient k of a product is the signed sum
-of x_i y_{i^k} over i: dim terms, not dim^2.  The signs come from the
+of x_i y_{i^k} over i: dim terms, not dim^2.  The product kernel gathers
+y with its signs folded in, then contracts with x in a two-operand einsum
+that sums the terms in index order.  The signs come from the
 doubling rule
 
     (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c))
@@ -55,6 +57,7 @@ __all__ = [
 ALGEBRA_TOL = 1e-11
 
 _VALID_DIMS = (4, 8, 16, 32, 64)
+_KERNEL_DIMS = (1, 2) + _VALID_DIMS  # the product kernel also takes R and C
 
 
 @lru_cache(maxsize=None)
@@ -96,18 +99,22 @@ def _xor_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mul_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Multiply coefficient arrays; leading axes broadcast.
+    """Multiply coefficient arrays of length 2^r, r <= 6; leading axes broadcast.
 
-    (x y)_k = sum_i x_i y_{i^k} signs[i,k]: one gather of y, one einsum.
+    (x y)_k = sum_i x_i (signs[i,k] y_{i^k}): a signed gather of y, then a
+    two-operand einsum that adds the i terms in index order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise DimensionError(
-            f"cannot multiply elements of dimension {x.shape[-1]} and {y.shape[-1]}"
-        )
-    signs, index = _xor_rule(x.shape[-1])
-    return np.einsum("...i,...ik,ik->...k", x, y.take(index, axis=-1), signs)
+    dim = x.shape[-1]
+    if y.shape[-1] != dim:
+        raise DimensionError(f"cannot multiply elements of dimension {dim} and {y.shape[-1]}")
+    if dim not in _KERNEL_DIMS:  # before _xor_rule builds and caches a table
+        raise DimensionError(f"coefficient arrays must have length in {_KERNEL_DIMS}, got {dim}")
+    signs, index = _xor_rule(dim)
+    terms = y.take(index, axis=-1)
+    terms *= signs  # exact: every sign is +1 or -1
+    return np.einsum("...i,...ik->...k", x, terms)
 
 
 def conj_coeffs(x: np.ndarray) -> np.ndarray:
@@ -162,7 +169,8 @@ class CdNumber:
             raise DimensionError(
                 f"coefficient vector must have length in {_VALID_DIMS}, got shape {arr.shape}"
             )
-        object.__setattr__(self, "coeffs", arr)
+        # contiguous, so norm2() and row_dots sum in the same order
+        object.__setattr__(self, "coeffs", np.ascontiguousarray(arr))
 
     # -- structure ---------------------------------------------------------
 
@@ -278,7 +286,7 @@ class CdNumber:
         return CdNumber(conj_coeffs(self.coeffs))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return math.sqrt(self.norm2())
 
     def norm2(self) -> float:
         return float(np.dot(self.coeffs, self.coeffs))

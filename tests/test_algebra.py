@@ -10,6 +10,7 @@ from cdconf.algebra import (
     ALGEBRA_TOL,
     CdNumber,
     PolarForm,
+    _xor_rule,
     basis_product,
     cd,
     conj,
@@ -30,6 +31,7 @@ from cdconf.algebra import (
     row_norms,
 )
 from cdconf.errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
+from cdconf.phrase import eval_phrase, parse
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,12 @@ def dense_table(dim: int) -> np.ndarray:
 def dense_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The product as a dense einsum over dense_table."""
     return np.einsum("ijk,...i,...j->...k", dense_table(x.shape[-1]), x, y)
+
+
+def three_operand_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The kernel's earlier form: the gathered y and the signs as two einsum operands."""
+    signs, index = _xor_rule(x.shape[-1])
+    return np.einsum("...i,...ik,ik->...k", x, y.take(index, axis=-1), signs)
 
 
 def series_exp(x: CdNumber, terms: int = 200) -> CdNumber:
@@ -202,6 +210,66 @@ def test_mul_coeffs_equals_the_dense_oracle_bit_for_bit(level, n_a, n_b, lead_x,
     got, want = mul_coeffs(x, y), dense_mul(x, y)
     assert got.shape == want.shape == np.broadcast_shapes(shape_x, shape_y)
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _with_specials(rng, arr, share):
+    """arr with about a share of its entries replaced by +-0.0, +-inf or NaN."""
+    hit = rng.random(arr.shape) < share
+    arr[hit] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=int(hit.sum()))
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(level=st.integers(1, 6), segs=st.integers(1, 3), rows=st.integers(1, 40),
+       form=st.sampled_from(["var*var", "const*var", "var*const"]),
+       layout=st.sampled_from(["c", "stride-0", "read-only"]), swap=st.booleans(),
+       share=st.sampled_from([0.0, 0.05, 0.3]), exponent=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mul_coeffs_equals_the_three_operand_form_bit_for_bit(level, segs, rows, form, layout,
+                                                               swap, share, exponent, seed):
+    dim = 1 << level
+    rng = np.random.default_rng(seed)
+    a, b = (_with_specials(rng, _coefficients(rng, (segs, rows, dim), exponent), share)
+            for _ in range(2))
+    if layout == "stride-0":  # one row per segment, as _partition_sums passes h
+        b = np.broadcast_to(b[:, :1, :], b.shape)
+    if form == "const*var":
+        a = a[0, 0]
+    elif form == "var*const":
+        b = b[0, 0]
+    if layout == "read-only":  # as CompactGrid.nodes() hands them out
+        a.flags.writeable = b.flags.writeable = False
+    x, y = (b, a) if swap else (a, b)
+    before = [v.tobytes() for v in (x, y)]
+    with np.errstate(all="ignore"):  # inf - inf and 0 * inf are NaN in both forms
+        got, want = mul_coeffs(x, y), three_operand_mul(x, y)
+    assert got.shape == want.shape == np.broadcast_shapes(x.shape, y.shape)
+    nan = np.isnan(want)  # a NaN's sign and payload are not compared
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert [v.tobytes() for v in (x, y)] == before
+    signs, index = _xor_rule(dim)
+    assert not signs.flags.writeable and not index.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [0, 3, 6, 128])
+def test_the_kernel_refuses_a_dimension_before_building_a_table(dim):
+    cached = basis_product.cache_info().currsize, _xor_rule.cache_info().currsize
+    with pytest.raises(DimensionError):
+        mul_coeffs(np.ones(dim), np.ones(dim))
+    with pytest.raises(DimensionError):
+        eval_phrase(parse("z^2"), np.ones(dim))
+    assert (basis_product.cache_info().currsize, _xor_rule.cache_info().currsize) == cached
+
+
+def test_a_number_on_a_strided_view_has_one_norm_rule():
+    rng = np.random.default_rng(7)
+    big = _coefficients(rng, (400, 16), 8)
+    for row in big[:, ::2]:  # every other coefficient of a wider buffer
+        x = CdNumber(row)
+        assert np.array_equal(x.coeffs, row)
+        assert x.norm2() == row_dots(row, row)
+        assert x.norm() == math.sqrt(x.norm2()) == row_norms(row)
 
 
 @settings(max_examples=200, deadline=None)

@@ -795,8 +795,9 @@ def _gate_digests():
 
 
 def test_phrase_outputs_keep_their_bytes():
-    # the numbers digest holds the bits of numpy's einsum, as computed with
-    # numpy 2.4 on x86-64
+    # the numbers digest holds the bits of the two-operand einsum kernel, as
+    # computed with numpy 2.4 on x86-64; a numpy whose SIMD baseline fuses
+    # multiply-add (numpy.show_runtime() names it) may round differently
     text, numbers = _gate_digests()
     assert text == "7d49f1f8ce579084af06b75b86926904f57e74bb9bed49a37a8c3b868f7c7ec5"
     assert numbers == "477e3d27cdb456be3d62b450485afdf5c2bdb30066a25f5e2df291bbfa5f21f9"
