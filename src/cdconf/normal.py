@@ -7,9 +7,9 @@ exactly.  classify_sequence applies the metric at a fixed finite
 resolution: its verdicts are evidence at that resolution, not proofs
 (finite grids cannot certify a limit).
 
-A grid builds only the part of its coefficient lattice inside the ball,
-and the metric takes an SVD only on the nodes whose bounds leave them a
-chance to hold the maximum; both give the bits of the full computation.
+A grid builds only its lattice points in the ball, the metric takes SVDs
+only on nodes that can hold the maximum, and classify_sequence computes
+only the distances its verdict reads, each with the full computation's bits.
 
 Maps follow the protocol of calculus.values_at: `apply_many` evaluates
 all nodes (and their stencils) at once, `jacobian_at` gives exact
@@ -236,17 +236,24 @@ def _rho_from_features(fa, fb) -> np.ndarray:
     return np.max(values.reshape(shape), axis=-1)
 
 
-def _distances(feats) -> np.ndarray:
-    """Symmetric matrix of rho between the members' features, one batched
-    row at a time: member i against members i+1 ... n-1."""
+def _distance_rows(feats, dist):
+    """Fill dist with rho between the members' features, one batched row
+    at a time from the last row up (member i against members i+1 ... n-1),
+    yielding i once row i and its mirror column are in."""
     vals = np.stack([v for v, _ in feats])
     depth = max(len(j) for _, j in feats)  # 1 when every Jacobian is constant
     jacs = np.stack([np.broadcast_to(j, (depth,) + j.shape[1:]) for _, j in feats])
-    n = len(feats)
-    dist = np.zeros((n, n))
-    for i in range(n - 1):
+    for i in range(len(feats) - 2, -1, -1):
         dist[i, i + 1:] = dist[i + 1:, i] = _rho_from_features((vals[i], jacs[i]),
                                                                (vals[i + 1:], jacs[i + 1:]))
+        yield i
+
+
+def _distances(feats) -> np.ndarray:
+    """Symmetric matrix of rho between the members' features: every row of _distance_rows."""
+    dist = np.zeros((len(feats), len(feats)))
+    for _ in _distance_rows(feats, dist):
+        pass
     return dist
 
 
@@ -282,15 +289,19 @@ def classify_sequence(fs, grid: CompactGrid, tol: float,
                       divergence_threshold: float = 1e6) -> Classification:
     """Classify a finite function sequence at the grid's resolution.
 
-    Order of verdicts:
+    Order of verdicts, each computing only the distances it reads; the
+    features of every member come first, so an unevaluable member raises
+    EvaluationError whatever the verdict:
 
     1. ConvergesTo -- the second half of the sequence has rho-diameter
-       below tol (limit samples are those of the last member);
+       below tol (limit samples are those of the last member): the tail
+       block, rows n-2 ... n//2 of the distance matrix;
     2. DivergesToInfinity -- the minimal node modulus exceeds the
-       threshold and increases monotonically over the last quarter;
+       threshold and rises monotonically over the last quarter (no distance);
     3. Extracted -- a subsequence of at least len(fs)//8 members lies in a
        common rho-ball of radius tol/2 (hence pairwise within tol): the
-       densest such ball is located through the full distance matrix;
+       densest such ball is located through the full distance matrix,
+       whose rows n//2-1 ... 0 are computed only now;
     4. NotNormalEvidence -- none of the above; the witness is the most
        separated pair.
     """
@@ -299,16 +310,20 @@ def classify_sequence(fs, grid: CompactGrid, tol: float,
         raise ValueError("classification needs at least 8 functions")
     nodes = grid.nodes()
     feats = [_features(f, nodes, grid.step) for f in fs]
-    dist = _distances(feats)
+    dist = np.zeros((n, n))
+    rows = _distance_rows(feats, dist)
+    while next(rows) > n // 2:
+        pass
 
     if dist[n // 2:, n // 2:].max() < tol:
         return Classification("ConvergesTo", tuple(range(n // 2, n)), feats[-1][0])
 
-    min_mod = np.array([float(np.min(np.linalg.norm(v[0], axis=1))) for v in feats])
-    quarter = min_mod[3 * n // 4:]
+    quarter = np.array([float(np.min(np.linalg.norm(v, axis=1))) for v, _ in feats[3 * n // 4:]])
     if quarter[-1] > divergence_threshold and np.all(np.diff(quarter) > 0):
         return Classification("DivergesToInfinity")
 
+    for _ in rows:
+        pass
     within = dist < tol / 2.0
     sizes = within.sum(axis=1)
     seed = int(np.argmax(sizes))

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CdNumber, conj_coeffs, mul_coeffs
+from .algebra import _KERNEL_DIMS, CdNumber, conj_coeffs, mul_coeffs
 from .errors import (
     DimensionError,
     MissingOperatorArgumentError,
@@ -965,6 +965,8 @@ def eval_phrase(phrase: Phrase, zval, h=None):
     if not dims:
         raise DimensionError("cannot infer the algebra dimension")
     dim = dims.pop()
+    if dim not in _KERNEL_DIMS:  # a phrase with no product meets no kernel check
+        raise DimensionError(f"cannot evaluate in dimension {dim}: it must be in {_KERNEL_DIMS}")
     batch = np.broadcast_shapes(*(v.shape[:-1] for v in list(zenv.values()) + list(henv.values())))
     values = [None] * size
     total = np.zeros(batch + (dim,))

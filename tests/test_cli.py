@@ -307,12 +307,15 @@ def test_inverse_apply_undoes_apply(tmp_path, capsys, level):
     assert np.allclose(back["result"], z, rtol=0.0, atol=1e-9)
 
 
-def _normal_rho(radius):
-    payload = {"op": "rho", "maps": [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
-                                     [[1, 0.5, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]],
-               "grid": {"center": [0, 0, 0, 0], "radius": radius, "resolution": 16}}
+def _normal(payload):
     return subprocess.run([sys.executable, "-m", "cdconf.cli", "normal", "--json", "-"],
                           input=json.dumps(payload), capture_output=True, text=True)
+
+
+def _normal_rho(radius):
+    return _normal({"op": "rho", "maps": [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+                                          [[1, 0.5, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]],
+                    "grid": {"center": [0, 0, 0, 0], "radius": radius, "resolution": 16}})
 
 
 def test_a_radius_whose_square_overflows_is_refused_without_a_warning():
@@ -324,6 +327,17 @@ def test_a_radius_whose_square_overflows_is_refused_without_a_warning():
     proc = _normal_rho(1e-300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, '{"resolution": 16, "rho": 1.5}\n', "")
+
+
+def test_a_converging_tail_is_classified_without_the_head_pairs():
+    # the Jacobians of the head differ by 2e308, which overflows; ConvergesTo
+    # reads only the tail block, so no head pair is computed and nothing warns
+    head = [[[(-1) ** k * 1e154, 0, 0, 0], [1e154, 0, 0, 0], [0, 0, 0, 0]] for k in range(8)]
+    tail = [[[1e154, 0, 0, 0], [1e154, 0, 0, 0], [1e-12 * k, 0, 0, 0]] for k in range(8)]
+    proc = _normal({"op": "classify", "maps": head + tail,
+                    "grid": {"center": [0, 0, 0, 0], "radius": 1e-300, "resolution": 4}})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, '{"indices": [8, 9, 10, 11, 12, 13, 14, 15], "kind": "ConvergesTo"}\n', "")
 
 
 # ---------------------------------------------------------------------------

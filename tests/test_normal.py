@@ -17,8 +17,9 @@ from cdconf.algebra import CdNumber, cd, mul
 from cdconf.calculus import RealJacobian, finite_value, jacobian, left_mul_matrix
 from cdconf.errors import DimensionError, DomainError, EvaluationError
 from cdconf.moebius import Inv, MoebiusWord, MulQ, RotO, Shift, compose
-from cdconf.normal import (MAX_LATTICE_POINTS, AffineMap, CompactGrid, _distances, _features,
-                           _rho_from_features, classify_sequence, rho)
+from cdconf import normal
+from cdconf.normal import (MAX_LATTICE_POINTS, AffineMap, Classification, CompactGrid, _distances,
+                           _features, _rho_from_features, classify_sequence, rho)
 
 
 @pytest.fixture
@@ -759,3 +760,109 @@ def _gate_outputs():
 def test_seeded_families_keep_their_bytes():
     digest = hashlib.sha256(b"".join(_gate_outputs())).hexdigest()
     assert digest == GATE_SHA256
+
+
+# ---------------------------------------------------------------------------
+# classify_sequence computes only the distances its verdict reads
+# ---------------------------------------------------------------------------
+
+def _reference_classify(feats, tol, threshold):
+    """The verdicts of classify_sequence read off the full matrix of _distances."""
+    n = len(feats)
+    dist = _distances(feats)
+
+    if dist[n // 2:, n // 2:].max() < tol:
+        return Classification("ConvergesTo", tuple(range(n // 2, n)), feats[-1][0])
+
+    min_mod = np.array([float(np.min(np.linalg.norm(v[0], axis=1))) for v in feats])
+    quarter = min_mod[3 * n // 4:]
+    if quarter[-1] > threshold and np.all(np.diff(quarter) > 0):
+        return Classification("DivergesToInfinity")
+
+    within = dist < tol / 2.0
+    sizes = within.sum(axis=1)
+    seed = int(np.argmax(sizes))
+    members = tuple(int(i) for i in np.nonzero(within[seed])[0])
+    if len(members) >= max(2, n // 8):
+        return Classification("Extracted", members)
+
+    worst = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    return Classification("NotNormalEvidence", witness=(int(worst[0]), int(worst[1])))
+
+
+PLANTED = {"converge": "ConvergesTo", "diverge": "DivergesToInfinity",
+           "scatter": "Extracted", "apart": "NotNormalEvidence"}
+
+
+def _planted_family(level, kind, pattern, n):
+    """n translates of one map, planted for the pattern's verdict at tol 1e-2
+    and threshold 1e5, with a grid of 16 (level 2) or 17 (level 3) nodes.
+    A mixed family hides every other member of z -> a z + c behind a plain
+    callable, so finite-difference Jacobians per node sit next to constant
+    ones (b = 1: the constant Jacobian L_a R_b is that of (a z) b only in an
+    associative algebra)."""
+    rng = np.random.default_rng([level, len(kind), len(pattern), n])
+    dim = 1 << level
+    if kind == "mixed":
+        base = AffineMap(cd(rng.normal(size=dim)), CdNumber.one(level), cd(rng.normal(size=dim)))
+    else:
+        base = _family(rng, kind, level)
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    ts = {"converge": [2.0 ** -(k + 4) * u for k in range(n)],
+          "diverge": [1e6 * 2.0 ** k * u for k in range(n)],
+          "scatter": list(rng.normal(size=(n, dim))),
+          "apart": [0.03 * 1.5 ** k * u for k in range(n)]}[pattern]
+    if pattern == "scatter":
+        for k in (3, 5, 8)[:2 if n < 9 else 3]:
+            ts[k] = ts[0] + 1e-5 * rng.normal(size=dim)
+    fs = [_translated(base, t, level) for t in ts]
+    if kind == "mixed":
+        fs[1::2] = [(lambda z, f=f: f(z)) for f in fs[1::2]]
+    grid = CompactGrid(cd(rng.normal(size=dim) * 0.1), float(rng.uniform(0.3, 0.9)),
+                       16 if level == 2 else 17)
+    return fs, grid
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+@pytest.mark.parametrize("pattern", sorted(PLANTED))
+@pytest.mark.parametrize("kind", ["affine", "word", "lambda", "mixed"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_lazy_distances_give_the_verdict_of_the_full_matrix(level, kind, pattern, n):
+    fs, grid = _planted_family(level, kind, pattern, n)
+    feats = [_features(f, grid.nodes(), grid.step) for f in fs]
+    want = _reference_classify(feats, 1e-2, 1e5)
+    assert want.kind == PLANTED[pattern]
+    got = classify_sequence(fs, grid, 1e-2, divergence_threshold=1e5)
+    assert (got.kind, got.indices, got.witness) == (want.kind, want.indices, want.witness)
+    if want.limit_samples is None:
+        assert got.limit_samples is None
+    else:
+        assert got.limit_samples.tobytes() == want.limit_samples.tobytes()
+
+
+@pytest.mark.parametrize("pattern, rows", [("converge", 7), ("diverge", 7),
+                                           ("scatter", 15), ("apart", 15)])
+def test_each_verdict_computes_only_the_pairs_it_reads(monkeypatch, pattern, rows):
+    # 28 pairs (the tail block) for the first two verdicts, all 120 for the
+    # last two; distinct row lengths show that no pair is computed twice
+    fs, grid = _planted_family(2, "affine", pattern, 16)
+    lengths = []
+
+    def counted(fa, fb):
+        lengths.append(len(fb[0]))
+        return _rho_from_features(fa, fb)
+
+    monkeypatch.setattr(normal, "_rho_from_features", counted)
+    assert classify_sequence(fs, grid, 1e-2, divergence_threshold=1e5).kind == PLANTED[pattern]
+    assert sorted(lengths) == list(range(1, rows + 1))
+    assert sum(lengths) == rows * (rows + 1) // 2
+
+
+def test_a_pole_in_the_head_is_raised_while_the_tail_converges():
+    fs = [MoebiusWord([Inv()], 2)] + [affine(CdNumber.one(2), c=CdNumber.real(2.0 ** -k, 2))
+                                      for k in range(20, 35)]
+    with pytest.raises(EvaluationError, match="map not evaluable on a grid node") as err:
+        classify_sequence(fs, ODD_GRID, 1e-3)
+    assert err.value.point == CdNumber.zero(2)
+    assert classify_sequence(fs[1:], ODD_GRID, 1e-3).kind == "ConvergesTo"

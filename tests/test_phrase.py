@@ -17,6 +17,7 @@ from cdconf import phrase as ph
 from cdconf.algebra import CdNumber, cd, conj_coeffs, mul, mul_coeffs
 from cdconf.contour import PlanarLoop, PlanarPath, line_integral
 from cdconf.errors import (
+    DimensionError,
     MissingOperatorArgumentError,
     MultiplicityError,
     PhraseSemanticError,
@@ -251,6 +252,19 @@ def test_eval_examples():
 def test_eval_missing_operator_argument():
     with pytest.raises(MissingOperatorArgumentError):
         ph.parse("I z").eval(CdNumber.one(2))
+
+
+@pytest.mark.parametrize("text", ["z", "3 e", "zc - 2 z"])
+def test_eval_of_a_phrase_with_no_product_checks_the_dimension(text):
+    # no product kernel runs, so eval_phrase itself refuses a dimension it cannot multiply in
+    phrase = ph.parse(text)
+    for dim in (0, 3, 6):
+        with pytest.raises(DimensionError, match=f"dimension {dim}"):
+            ph.eval_phrase(phrase, np.ones(dim))
+    for dim in (1, 2, 4):
+        z = np.arange(1.0, dim + 1.0)
+        want = {"z": z, "3 e": 3.0 * np.eye(dim)[0], "zc - 2 z": conj_coeffs(z) - 2.0 * z}[text]
+        assert ph.eval_phrase(phrase, z).tobytes() == want.tobytes()
 
 
 def test_eval_batch(rng):
