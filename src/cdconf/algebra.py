@@ -46,6 +46,7 @@ __all__ = [
     "polar",
     "mul_coeffs",
     "conj_coeffs",
+    "leads_negative",
     "row_dots",
     "row_norms",
     "basis_product",
@@ -121,6 +122,13 @@ def conj_coeffs(x: np.ndarray) -> np.ndarray:
     out = np.array(x, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out
+
+
+def leads_negative(coeffs) -> bool:
+    """Whether the first nonzero entry of coeffs is negative (False when
+    all are zero): the sign that fixes the -1 in a sign-invariant answer."""
+    nz = np.flatnonzero(coeffs)
+    return bool(nz.size and coeffs[nz[0]] < 0)
 
 
 def row_dots(x, y) -> np.ndarray:

@@ -13,11 +13,11 @@ coordinate-plane rotations via a Givens sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CdNumber, mul_coeffs
+from .algebra import CdNumber, leads_negative, mul_coeffs
 from .errors import (
     DimensionError,
     EvaluationError,
@@ -77,16 +77,12 @@ def _conj_matrix(dim: int) -> np.ndarray:
 
 def left_mul_matrix(a: CdNumber) -> np.ndarray:
     """Matrix of h -> a h on coefficient vectors."""
-    dim = a.dim
-    cols = mul_coeffs(a.coeffs[None, :], np.eye(dim))
-    return cols.T
+    return mul_coeffs(a.coeffs, np.eye(a.dim)).T
 
 
 def right_mul_matrix(b: CdNumber) -> np.ndarray:
     """Matrix of h -> h b on coefficient vectors."""
-    dim = b.dim
-    cols = mul_coeffs(np.eye(dim), b.coeffs[None, :])
-    return cols.T
+    return mul_coeffs(np.eye(b.dim), b.coeffs).T
 
 
 def finite_value(f, z: CdNumber, what: str) -> CdNumber:
@@ -194,26 +190,33 @@ def dzbar_norm(j: RealJacobian) -> float:
     return _spectral_norm(j.entries @ _conj_matrix(j.dim))
 
 
-def is_pseudoconformal_at(f, z: CdNumber, tol: float = 1e-6,
-                          step: float = DEFAULT_STEP) -> Verdict:
+def _similarity(j: np.ndarray) -> tuple[float, float]:
+    """(lambda^2, ||J^T J - lambda^2 I||_2 / lambda^2) with lambda^2 = tr(J^T J) / dim;
+    NotSimilarityError when lambda^2 is zero (J is, or underflows to, zero)."""
+    dim = j.shape[0]
+    g = j.T @ j
+    lam2 = float(np.trace(g)) / dim
+    if lam2 <= 0:
+        raise NotSimilarityError("zero operator is not a similarity", residual=0.0)
+    return lam2, _spectral_norm(g - lam2 * np.eye(dim)) / lam2
+
+
+def is_pseudoconformal_at(f, z: CdNumber, tol: float = 1e-6) -> Verdict:
     """Test whether the derivative of f at z is a positive similarity.
 
     Checks: nonzero derivative, then J^T J = lambda^2 I within tol, then
     orientation.  An improper similarity reports AntiholomorphicPart with
     the magnitude of the conjugated component as residual; a proper one
     returns Pseudoconformal with the dilation lambda.  f may be a callable
-    on CdNumber or a precomputed RealJacobian.
+    on CdNumber (at DEFAULT_STEP) or a RealJacobian, e.g. jacobian(f, z, step).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    jac = f if isinstance(f, RealJacobian) else jacobian(f, z, step)
-    j = jac.entries
-    scale = _spectral_norm(j)
+    jac = f if isinstance(f, RealJacobian) else jacobian(f, z)
+    scale = _spectral_norm(jac.entries)
     if scale <= tol:
         return Verdict("ZeroDerivative", residual=scale)
-    g = j.T @ j
-    lam2 = float(np.trace(g)) / jac.dim
-    sim_res = _spectral_norm(g - lam2 * np.eye(jac.dim)) / lam2
+    lam2, sim_res = _similarity(jac.entries)
     if sim_res >= tol:
         return Verdict("NotSimilarity", residual=sim_res)
     anti = dzbar_norm(jac)
@@ -228,17 +231,20 @@ def is_pseudoconformal_at(f, z: CdNumber, tol: float = 1e-6,
 
 def _similarity_scale(j: np.ndarray, tol: float) -> float:
     """Validate J = lambda * (proper rotation) and return lambda."""
-    dim = j.shape[0]
-    g = j.T @ j
-    lam2 = float(np.trace(g)) / dim
-    if lam2 <= 0:
-        raise NotSimilarityError("zero operator is not a similarity", residual=0.0)
-    res = _spectral_norm(g - lam2 * np.eye(dim)) / lam2
+    lam2, res = _similarity(j)
     if res > tol:
         raise NotSimilarityError(f"J^T J deviates from lambda^2 I by {res:.3e}", residual=res)
     if np.linalg.det(j) < 0:
         raise NonproperRotationError("negative determinant: improper rotation")
     return math.sqrt(lam2)
+
+
+def _reconstructs(fac, j: RealJacobian, tol: float):
+    """fac if its matrix() is within max(tol, 1e-8) max(lambda, 1) of J; else NotSimilarityError."""
+    err = _spectral_norm(fac.matrix() - j.entries) / max(fac.lam, 1.0)
+    if err > max(tol, 1e-8):
+        raise NotSimilarityError(f"reconstruction residual {err:.3e}", residual=err)
+    return fac
 
 
 @dataclass(frozen=True)
@@ -251,21 +257,6 @@ class QuatFactorization:
 
     def matrix(self) -> np.ndarray:
         return self.lam * left_mul_matrix(self.a) @ right_mul_matrix(self.b)
-
-
-def _sign_normalize(a: CdNumber, b: CdNumber) -> tuple[CdNumber, CdNumber]:
-    """Fix the {(1,1),(-1,-1)} kernel: Re(a) >= 0, first nonzero coefficient
-    of a positive on a tie."""
-    flip = False
-    if a.re < 0:
-        flip = True
-    elif a.re == 0:
-        nz = np.nonzero(a.coeffs)[0]
-        if nz.size and a.coeffs[nz[0]] < 0:
-            flip = True
-    if flip:
-        return -a, -b
-    return a, b
 
 
 def factor_quaternion(j: RealJacobian, tol: float = 1e-8) -> QuatFactorization:
@@ -289,35 +280,32 @@ def factor_quaternion(j: RealJacobian, tol: float = 1e-8) -> QuatFactorization:
         raise NotSimilarityError("associate matrix is not rank one", residual=float(s[1]))
     a = CdNumber(u[:, 0])
     b = CdNumber(vt[0, :])
-    # the SVD can only flip (a, b) -> (-a, -b), which is exactly the kernel
-    a, b = _sign_normalize(a, b)
-    out = QuatFactorization(a, b, lam)
-    err = _spectral_norm(out.matrix() - j.entries) / max(lam, 1.0)
-    if err > max(tol, 1e-8):
-        raise NotSimilarityError(f"reconstruction residual {err:.3e}", residual=err)
-    return out
+    # the SVD can only flip (a, b) -> (-a, -b), the kernel: a's lead fixes it
+    if leads_negative(a.coeffs):
+        a, b = -a, -b
+    return _reconstructs(QuatFactorization(a, b, lam), j, tol)
 
 
 # ---------------------------------------------------------------------------
 # octonion factorization: Givens sweep over coordinate planes
 # ---------------------------------------------------------------------------
 
-def givens_matrix(k: int, m: int, t: float, dim: int = 8) -> np.ndarray:
-    """Plane rotation acting on coefficients by
+def givens_matrix(k: int, m: int, t: float) -> np.ndarray:
+    """Octonion plane rotation acting on coefficients by
     h_k -> cos(t) h_k + sin(t) h_m,  h_m -> -sin(t) h_k + cos(t) h_m."""
-    if not 0 <= k < m < dim:
+    if not 0 <= k < m < 8:
         raise IndexError(f"plane indices ({k},{m}) out of range")
-    g = np.eye(dim)
+    g = np.eye(8)
     c, s = math.cos(t), math.sin(t)
     g[[k, k, m, m], [k, m, k, m]] = c, s, -s, c
     return g
 
 
-def givens_product(angles, dim: int = 8) -> np.ndarray:
+def givens_product(angles) -> np.ndarray:
     """Ordered product G(k_1, m_1, t_1) G(k_2, m_2, t_2) ... of plane rotations."""
-    out = np.eye(dim)
+    out = np.eye(8)
     for k, m, t in angles:
-        out = out @ givens_matrix(k, m, t, dim)
+        out = out @ givens_matrix(k, m, t)
     return out
 
 
@@ -330,11 +318,10 @@ class OctGivensFactorization:
     """
 
     lam: float
-    angles: tuple = field(default_factory=tuple)
-    level: int = 3
+    angles: tuple
 
     def matrix(self) -> np.ndarray:
-        return self.lam * givens_product(self.angles, 1 << self.level)
+        return self.lam * givens_product(self.angles)
 
 
 def factor_octonion_givens(j: RealJacobian, tol: float = 1e-8) -> OctGivensFactorization:
@@ -347,18 +334,13 @@ def factor_octonion_givens(j: RealJacobian, tol: float = 1e-8) -> OctGivensFacto
     if j.level != 3:
         raise DimensionError("octonion Givens factorization requires level 3")
     lam = _similarity_scale(j.entries, tol)
-    dim = 8
     a = j.entries / lam
     angles = []
-    for k in range(dim - 1):
-        for m in range(k + 1, dim):
+    for k in range(7):
+        for m in range(k + 1, 8):
             t = math.atan2(a[m, k], a[k, k])
             if t != 0.0:
-                a = givens_matrix(k, m, t, dim) @ a
+                a = givens_matrix(k, m, t) @ a
             if abs(t) > GIVENS_DROP_BELOW:
                 angles.append((k, m, -t))
-    out = OctGivensFactorization(lam, tuple(angles))
-    err = _spectral_norm(out.matrix() - j.entries) / max(lam, 1.0)
-    if err > max(tol, 1e-8):
-        raise NotSimilarityError(f"reconstruction residual {err:.3e}", residual=err)
-    return out
+    return _reconstructs(OctGivensFactorization(lam, tuple(angles)), j, tol)

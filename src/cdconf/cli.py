@@ -115,19 +115,23 @@ def _samples(payload, default) -> int:
     return n
 
 
-def _cd(payload, key) -> CdNumber:
-    val = _need(payload, key, list)
+def _element(val, key) -> CdNumber:
+    """cd(val); a value of field key that is no element is a schema error."""
     try:
         return cd(val)
     except CdconfError as exc:
         raise SchemaError(f"field {key!r}: {exc}") from exc
 
 
+def _cd(payload, key) -> CdNumber:
+    return _element(_need(payload, key, list), key)
+
+
 def _coords(payload, key) -> tuple:
     """One point, or a list of points, as a tuple of coordinates."""
     raw = _need(payload, key, list)
     rows = raw if raw and isinstance(raw[0], list) else [raw]
-    return tuple(cd(row) for row in rows)
+    return tuple(_element(row, key) for row in rows)
 
 
 def _word(payload, key="word") -> MoebiusWord:
@@ -264,11 +268,13 @@ def _ball_squared(spec):
 def _cmd_domain(payload, rng, tol):
     op = _need(payload, "op", str)
     if op == "ball":
-        frame = [(cd(l), cd(r)) for l, r in _need(payload, "frame", list, [])] or None
+        frame = [(_element(l, "frame"), _element(r, "frame"))
+                 for l, r in _need(payload, "frame", list, [])] or None
         phi = BallAutomorphism(_coords(payload, "a"), frame)
         return {"result": [w.to_json() for w in ball_apply(phi, _coords(payload, "z"))]}
     if op == "polydisc":
-        mult = [tuple(cd(c) for c in row) for row in _need(payload, "multipliers", list)]
+        mult = [tuple(_element(c, "multipliers") for c in row)
+                for row in _need(payload, "multipliers", list)]
         psi = PolydiscAutomorphism(_coords(payload, "b"), tuple(mult), payload.get("sigma"))
         return {"result": [w.to_json() for w in polydisc_apply(psi, _coords(payload, "z"))]}
     if op == "cayley":
@@ -349,7 +355,7 @@ def _affine_maps(payload):
     for row in _need(payload, "maps", list):
         if not isinstance(row, list) or len(row) != 3:
             raise SchemaError("each map is an [a, b, c] coefficient triple")
-        maps.append(AffineMap(cd(row[0]), cd(row[1]), cd(row[2])))
+        maps.append(AffineMap(*(_element(v, "maps") for v in row)))
     return maps
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CdNumber, conj, inv, mul
-from .calculus import jacobian
+from .calculus import DEFAULT_STEP, jacobian
 from .errors import DomainError, PreconditionError
 from .moebius import INF
 
@@ -139,9 +139,7 @@ def ball_apply(phi: BallAutomorphism, z):
             zeta_j = zj - pi_j
             out.append(mul(lead, aj - pi_j - zeta_j * root))
         out = tuple(out)
-    if isinstance(z, CdNumber):
-        return out[0]
-    return out
+    return out[0] if isinstance(z, CdNumber) else out
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +210,7 @@ def polydisc_apply(psi: PolydiscAutomorphism, z):
         zeta = mul(mul(c3, mul(mul(c1, zs[k]), c2)), c4)
         bj = psi.b[k]
         out.append(mul(inv(one - mul(zeta, conj(bj))), bj - zeta))
-    if isinstance(z, CdNumber):
-        return out[0]
-    return tuple(out)
+    return out[0] if isinstance(z, CdNumber) else tuple(out)
 
 
 def polydisc_zero_preimage(psi: PolydiscAutomorphism, j: int = 0) -> CdNumber:
@@ -230,13 +226,17 @@ def polydisc_zero_preimage(psi: PolydiscAutomorphism, j: int = 0) -> CdNumber:
 # half space <-> ball (scalar case)
 # ---------------------------------------------------------------------------
 
+def _unit_imaginary(m: CdNumber) -> None:
+    if abs(m.re) > 1e-12 or abs(m.norm() - 1.0) > 1e-12:
+        raise DomainError("M must be unit imaginary")
+
+
 def cayley_to_ball(z: CdNumber, m: CdNumber):
     """W(z) = (z + M)^{-1} (z - M), mapping Re(conj(M) z) > 0 into |W| < 1.
 
     The pole z = -M returns the infinity sentinel.
     """
-    if abs(m.re) > 1e-12 or abs(m.norm() - 1.0) > 1e-12:
-        raise DomainError("M must be unit imaginary")
+    _unit_imaginary(m)
     denom = z + m
     if denom.norm() == 0.0:
         return INF
@@ -245,8 +245,7 @@ def cayley_to_ball(z: CdNumber, m: CdNumber):
 
 def ball_to_halfspace(w: CdNumber, m: CdNumber):
     """Inverse transform z = (M (1 + w)) (1 - w)^{-1}; w = 1 returns INF."""
-    if abs(m.re) > 1e-12 or abs(m.norm() - 1.0) > 1e-12:
-        raise DomainError("M must be unit imaginary")
+    _unit_imaginary(m)
     one = CdNumber.one(w.level)
     denom = one - w
     if denom.norm() == 0.0:
@@ -271,7 +270,7 @@ def halfspace_coordinate(z: CdNumber, m: CdNumber) -> float:
 class SchwarzResult:
     holds: bool
     worst_ratio: float
-    witness: object = None
+    witness: object
 
 
 def schwarz_check(f, norm_in: HomogeneousNorm, norm_out: HomogeneousNorm,
@@ -289,17 +288,14 @@ def schwarz_check(f, norm_in: HomogeneousNorm, norm_out: HomogeneousNorm,
         raise PreconditionError(f"f(0) != 0 (norm {norm_out(f0):.3e})", witness=f0)
     worst = 0.0
     witness = None
-    holds = True
     for zv in samples:
         nin = norm_in(zv)
         nout = norm_out(f(zv))
         if nin > 0:
             worst = max(worst, nout / nin)
-        if nout > nin + tol:
-            holds = False
-            if witness is None:
-                witness = zv
-    return SchwarzResult(holds, worst, witness)
+        if nout > nin + tol and witness is None:
+            witness = zv
+    return SchwarzResult(witness is None, worst, witness)
 
 
 @dataclass(frozen=True)
@@ -308,21 +304,20 @@ class CartanResult:
     max_deviation: float
 
 
-def cartan_check(f, base: CdNumber, samples, tol: float = 1e-8,
-                 step: float = 1e-5) -> CartanResult:
-    """Certify f = id from f(base) = base and f'(base) = I.
-
-    Precondition failures are reported distinctly: which of the two
-    conditions broke, with its residual.  On success the maximal sample
-    deviation |f(z) - z| is returned and compared against tol.
+def cartan_check(f, base: CdNumber, samples, tol: float = 1e-8) -> CartanResult:
+    """Certify f = id from f(base) = base and f'(base) = I (central
+    differences at DEFAULT_STEP).  Precondition failures are reported
+    distinctly: which of the two conditions broke, with its residual.  On
+    success the maximal sample deviation |f(z) - z| is returned and
+    compared against tol.
     """
     fb = f(base)
     if (fb - base).norm() > tol:
         raise PreconditionError(
             f"base point moves: |f(b) - b| = {(fb - base).norm():.3e}", witness=base)
-    jac = jacobian(f, base, step)
+    jac = jacobian(f, base)
     dev = float(np.max(np.abs(jac.entries - np.eye(jac.dim))))
-    if dev > max(tol, 100.0 * step * step):
+    if dev > max(tol, 100.0 * DEFAULT_STEP * DEFAULT_STEP):
         raise PreconditionError(
             f"derivative at base differs from identity by {dev:.3e}", witness=base)
     worst = max(((f(zv) - zv).norm() for zv in samples), default=0.0)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CdNumber, cd, conj_coeffs, inv, mul, mul_coeffs, real_number, row_dots
+from .algebra import (CdNumber, cd, conj_coeffs, inv, leads_negative, mul, mul_coeffs,
+                      real_number, row_dots)
 from .calculus import givens_product
 from .errors import DimensionError, DomainError
 
@@ -136,7 +137,7 @@ class RotO:
                 raise TypeError(f"rotation plane ({k!r}, {m!r}) must be two integers")
             if not 0 <= k < m <= 7:
                 raise DomainError(f"invalid rotation plane ({k}, {m})")
-        object.__setattr__(self, "matrix", givens_product(self.angles, 8))
+        object.__setattr__(self, "matrix", givens_product(self.angles))
 
     def apply_coeffs(self, x):
         # M @ column, not x @ M.T: the batched rows keep M @ x's bits
@@ -295,12 +296,8 @@ class Hypersphere:
         E > 0 for proper spheres, first nonzero J coefficient positive for
         hyperplanes (the equation is sign and scale invariant)."""
         scale = max(abs(self.e), self.j.norm(), abs(self.d))
-        if self.e < 0.0:
+        if leads_negative(np.r_[self.e, self.j.coeffs]):
             scale = -scale
-        elif self.e == 0.0:
-            nz = np.nonzero(self.j.coeffs)[0]
-            if nz.size and self.j.coeffs[nz[0]] < 0.0:
-                scale = -scale
         return Hypersphere(self.e / scale, self.j * (1.0 / scale), self.d / scale)
 
     def sample(self, n: int, rng) -> np.ndarray:
@@ -362,8 +359,7 @@ def map_hypersphere(word: MoebiusWord, s: Hypersphere) -> Hypersphere:
             j = mul(mul(inv(gen.a.conj()), j), inv(gen.b.conj()))
         elif isinstance(gen, RotO):
             j = CdNumber(gen.matrix @ j.coeffs)
-        out = Hypersphere(e, j, d)
-        e, j, d = out.e, out.j, out.d
+        Hypersphere(e, j, d)  # each intermediate sphere must be valid
     return Hypersphere(e, j, d).normalized()
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import CdNumber, mul, mul_coeffs
 from .calculus import (DEFAULT_STEP, RealJacobian, central_differences, central_stencil,
-                       finite_value, left_mul_matrix, right_mul_matrix, values_at)
+                       finite_value, values_at)
 from .errors import DimensionError, DomainError, EvaluationError
 
 __all__ = [
@@ -141,7 +141,8 @@ class RhoValue:
 
 
 class AffineMap:
-    """z -> (a z) b + c with exact constant Jacobian L_a R_b."""
+    """z -> (a z) b + c; its exact constant Jacobian is the linear part
+    h -> (a h) b, column k being (a e_k) b."""
 
     constant_jacobian = True
 
@@ -158,7 +159,8 @@ class AffineMap:
         return mul_coeffs(mul_coeffs(self.a.coeffs, pts), self.b.coeffs) + self.c.coeffs
 
     def jacobian_at(self, z: CdNumber) -> RealJacobian:
-        return RealJacobian(z.level, left_mul_matrix(self.a) @ right_mul_matrix(self.b))
+        linear = mul_coeffs(mul_coeffs(self.a.coeffs, np.eye(self.a.dim)), self.b.coeffs)
+        return RealJacobian(z.level, linear.T)
 
 
 def _features(f, nodes: np.ndarray, step: float):

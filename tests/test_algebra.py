@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdconf.algebra import (
@@ -16,6 +16,7 @@ from cdconf.algebra import (
     conj,
     exp,
     inv,
+    leads_negative,
     ln_branch,
     ln_principal,
     mul,
@@ -31,6 +32,7 @@ from cdconf.algebra import (
     row_norms,
 )
 from cdconf.errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
+from cdconf.moebius import Hypersphere
 from cdconf.phrase import eval_phrase, parse
 
 
@@ -541,3 +543,82 @@ def test_real_array_takes_numbers_only():
             CdNumber(bad)
     with pytest.raises(TypeError):
         real_number([0.7])
+
+
+# ---------------------------------------------------------------------------
+# leads_negative: the one leading-sign rule of factor_quaternion and of
+# Hypersphere.normalized, against the branches each kept before
+# ---------------------------------------------------------------------------
+
+def _reference_sign_normalize(a, b):
+    """factor_quaternion's former sign rule, verbatim."""
+    flip = False
+    if a.re < 0:
+        flip = True
+    elif a.re == 0:
+        nz = np.nonzero(a.coeffs)[0]
+        if nz.size and a.coeffs[nz[0]] < 0:
+            flip = True
+    if flip:
+        return -a, -b
+    return a, b
+
+
+def _reference_normalized(s):
+    """Hypersphere.normalized's former sign rule, verbatim."""
+    scale = max(abs(s.e), s.j.norm(), abs(s.d))
+    if s.e < 0.0:
+        scale = -scale
+    elif s.e == 0.0:
+        nz = np.nonzero(s.j.coeffs)[0]
+        if nz.size and s.j.coeffs[nz[0]] < 0.0:
+            scale = -scale
+    return Hypersphere(s.e / scale, s.j * (1.0 / scale), s.d / scale)
+
+
+# signed zeros, subnormals and plain values, so leads and tails are often zero
+_LEAD = st.one_of(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                  st.floats(-1e100, 1e100))
+
+
+def _coeffs(dim):
+    return st.lists(_LEAD, min_size=dim, max_size=dim)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("coeffs", [[0.0] * 4, [-0.0] * 4, [-0.0, 0.0, -0.0, 0.0],
+                                    [-0.0, 0.0, 0.0, -1.0], [0.0, -0.0, 2.0, -1.0],
+                                    [-0.0] * 7 + [-5e-324], [0.0, -1.0] + [0.0] * 6])
+def test_leading_sign_rule_on_signed_zeros_and_zero_tails(coeffs):
+    a = CdNumber(coeffs)
+    b = CdNumber(np.arange(1.0, len(coeffs) + 1))
+    ref = _reference_sign_normalize(a, b)
+    got = (-a, -b) if leads_negative(a.coeffs) else (a, b)
+    assert [_bits(x.coeffs) for x in got] == [_bits(x.coeffs) for x in ref]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(_coeffs(4), _coeffs(8)))
+def test_leading_sign_rule_of_the_quaternion_factors(a):
+    a = CdNumber(a)
+    b = CdNumber(np.linspace(-1.0, 1.0, a.dim))
+    ref = _reference_sign_normalize(a, b)
+    got = (-a, -b) if leads_negative(a.coeffs) else (a, b)
+    assert [_bits(x.coeffs) for x in got] == [_bits(x.coeffs) for x in ref]
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_LEAD, j=st.one_of(_coeffs(4), _coeffs(8)), d=_LEAD)
+def test_normalized_sphere_keeps_the_former_sign_rule(e, j, d):
+    assume(e == 0.0 or abs(e) > 1e-100)  # E^2 must not underflow
+    if e != 0.0:
+        d = -e * (1.0 + abs(d))  # |J|^2 - E D > 0: a proper sphere
+    elif not np.any(j):
+        j[-1] = -1.0  # a hyperplane needs J != 0
+    s = Hypersphere(e, CdNumber(j), d)
+    got, ref = s.normalized(), _reference_normalized(s)
+    assert [_bits(got.e), _bits(got.j.coeffs), _bits(got.d)] == \
+        [_bits(ref.e), _bits(ref.j.coeffs), _bits(ref.d)]

@@ -272,6 +272,15 @@ def test_factor_rejects_improper_rotation():
         factor_quaternion(RealJacobian(2, np.diag([1.0, -1, 1, 1])))
 
 
+def test_a_similarity_whose_square_underflows_is_refused_like_the_zero_operator():
+    # ||J|| = 1e-170 is above tol, but tr(J^T J) = 4e-340 underflows to 0
+    j = RealJacobian(2, 1e-170 * np.eye(4))
+    for check in (lambda: is_pseudoconformal_at(j, CdNumber.zero(2), tol=1e-300),
+                  lambda: factor_quaternion(j)):
+        with pytest.raises(NotSimilarityError, match="zero operator is not a similarity"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # octonion Givens factorization
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ import pytest
 
 from cdconf import contour
 from cdconf import phrase as ph
-from cdconf.algebra import CdNumber
+from cdconf.algebra import CdNumber, cd, mul
 from cdconf.cli import main, run
 from cdconf.contour import PlanarLoop
 from cdconf.errors import SchemaError
+from cdconf.normal import CompactGrid
 from cdconf.suites import SUITES, rand_cd, rand_imag_unit, random_phrase, random_word
 
 
@@ -340,6 +341,25 @@ def test_a_converging_tail_is_classified_without_the_head_pairs():
         0, '{"indices": [8, 9, 10, 11, 12, 13, 14, 15], "kind": "ConvergesTo"}\n', "")
 
 
+def test_rho_of_octonion_affine_maps_reads_the_derivative_of_each_map():
+    # two maps z -> (a z) b + c whose a and b differ: rho is max |f - g| over
+    # the nodes plus ||J_f - J_g||_2, J built column by column from (a e_k) b
+    rng = np.random.default_rng(2026)
+    (a1, b1), (a2, b2) = [(rand_cd(rng, 3), rand_cd(rng, 3)) for _ in range(2)]
+    c = rand_cd(rng, 3)
+    grid = {"center": [0.0] * 8, "radius": 0.5, "resolution": 16}
+    out = req("normal", {"op": "rho", "maps": [[_vec(a1), _vec(b1), _vec(c)],
+                                               [_vec(a2), _vec(b2), _vec(c)]], "grid": grid})
+
+    def jac(a, b):
+        return np.column_stack([mul(mul(a, CdNumber.basis(k, 3)), b).coeffs for k in range(8)])
+
+    nodes = CompactGrid(CdNumber.zero(3), 0.5, 16).nodes()
+    gap = max((mul(mul(a1, cd(z)), b1) - mul(mul(a2, cd(z)), b2)).norm() for z in nodes)
+    want = gap + np.linalg.norm(jac(a1, b1) - jac(a2, b2), 2)
+    assert out == {"rho": pytest.approx(want, rel=1e-12), "resolution": len(nodes)}
+
+
 # ---------------------------------------------------------------------------
 # seeded contour requests: stdout and exit code pinned as one sha256
 # ---------------------------------------------------------------------------
@@ -470,3 +490,110 @@ def test_seeded_contour_requests_keep_their_bytes(tmp_path, capsys, monkeypatch)
                 "rect": rect, "min_cell": min_cell}))
     digest = hashlib.sha256(b"".join(outputs)).hexdigest()
     assert digest == CONTOUR_PIN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# seeded derivative, hypersphere and domain requests: one sha256
+# ---------------------------------------------------------------------------
+
+def _pin_matrix(rng, level, kind):
+    """A Jacobian as a nested list: a positive similarity, an improper one,
+    a generic matrix, the zero matrix or a shape that does not fit."""
+    dim = 1 << level
+    if kind == "zero":
+        return np.zeros((dim, dim)).tolist()
+    if kind == "shape":
+        return np.eye(dim - 1).tolist()
+    if kind == "generic":
+        return rng.normal(size=(dim, dim)).tolist()
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    if kind == "improper":
+        q[:, -1] = -q[:, -1]
+    return (float(rng.uniform(0.2, 3.0)) * q).tolist()
+
+
+def _pin_sphere(rng, level, kind):
+    """Sphere parameters: a proper sphere (possibly with E < 0), a hyperplane
+    (E = +-0.0, its first J coefficient possibly negative or a signed zero)."""
+    j = rng.normal(size=1 << level)
+    if kind == "plane":
+        j[:int(rng.integers(0, 3))] = rng.choice([0.0, -0.0])
+        return {"E": float(rng.choice([0.0, -0.0])), "J": _vec(j), "D": float(rng.normal())}
+    e = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0))
+    d = (float(j @ j) - e * e * float(rng.uniform(0.1, 4.0))) / e  # R^2 > 0
+    return {"E": e, "J": _vec(j), "D": d}
+
+
+def _pinned_calculus_domain_requests():
+    """Seeded (command, payload, seed) requests: check-pc and factor on
+    moebius and phrase maps and on matrices (with NotSimilarity and
+    NonproperRotation exits), map-sphere on spheres and hyperplanes, and
+    domain cayley, uncayley, schwarz and cartan, at levels 2 and 3."""
+    rng = np.random.default_rng(20261020)
+    out = []
+    for level in (2, 3):
+        for k in range(12):
+            spec = _pin_map(rng, level, "moebius" if k % 2 else "phrase")
+            z = _vec(rand_cd(rng, level, 0.6))
+            payload = {"map": spec, "z": z}
+            if k % 3 == 0:
+                payload["step"] = float(rng.choice([1e-3, 1e-6]))
+            out.append(("check-pc", payload, k))
+            out.append(("factor", {"map": spec, "z": z}, k))
+        for text in ("zc", (ph.const(rand_cd(rng, level)) * ph.e()).render(), "z^3"):
+            payload = {"map": {"kind": "phrase", "text": text}, "z": _vec(rand_cd(rng, level))}
+            out += [("check-pc", payload, 0), ("factor", payload, 0)]
+        for kind in ("proper", "proper", "improper", "generic", "zero", "shape"):
+            out.append(("factor", {"level": level, "matrix": _pin_matrix(rng, level, kind)}, 0))
+        for k in range(10):
+            word = random_word(rng, level, n_gens=int(rng.integers(1, 5)))
+            sphere = _pin_sphere(rng, level, "plane" if k % 2 else "sphere")
+            out.append(("moebius", {"op": "map-sphere", "word": word.to_json(),
+                                    "level": level, "sphere": sphere}, 0))
+        for k in range(8):
+            m = rand_imag_unit(rng, level)
+            if k == 7:
+                m = m * 1.5  # not a unit: exit 1
+            z = rand_cd(rng, level)
+            if k == 3:
+                z = -m  # the pole
+            out.append(("domain", {"op": "cayley", "z": _vec(z), "M": _vec(m)}, 0))
+            w = CdNumber.one(level) if k == 3 else rand_cd(rng, level, 0.5)
+            out.append(("domain", {"op": "uncayley", "w": _vec(w), "M": _vec(m)}, 0))
+        for k in range(6):
+            norms = {"norm_in": ("euclidean", "max")[k % 2],
+                     "norm_out": ("euclidean", "max")[k // 2 % 2]}
+            if k % 3 == 2:
+                spec = {"kind": "ball-squared", "a": _vec(rand_cd(rng, level, 0.3))}
+            else:
+                spec = {"kind": "frame", "u": _vec(rand_cd(rng, level)),
+                        "v": _vec(rand_cd(rng, level))}  # not unit: may break the bound
+            out.append(("domain", {"op": "schwarz", "map": spec, "samples": 16, **norms}, k))
+            a = rand_cd(rng, level, 0.3 if k < 5 else 2.0)  # |a| >= 1: exit 1
+            out.append(("domain", {"op": "cartan", "map": {"kind": "ball-squared",
+                                                           "a": _vec(a)}, "samples": 16}, k))
+    return out
+
+
+# sha256 of the stdout and exit codes below, computed before calculus,
+# normal and domains shared their similarity, sign and unit-imaginary rules
+CALCULUS_DOMAIN_PIN_SHA256 = "bf0270d9ce588d703c75be9f66070f9497fe4b44c0af75fd446322843adf6605"
+
+
+def test_seeded_calculus_and_domain_requests_keep_their_bytes(tmp_path, capsys):
+    outputs = []
+    for command, payload, seed in _pinned_calculus_domain_requests():
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps(payload))
+        code = main([command, "--json", str(path), "--seed", str(seed)])
+        outputs.append(f"{code}\n{capsys.readouterr().out}".encode())
+    codes = [o.split(b"\n", 1)[0] for o in outputs]
+    assert len(outputs) == 148 and codes.count(b"1") >= 30 and codes.count(b"0") >= 100
+    errors = b"".join(outputs)
+    for kind in (b"NotSimilarityError", b"NonproperRotationError", b"DomainError"):
+        assert kind in errors
+    digest = hashlib.sha256(b"".join(outputs)).hexdigest()
+    assert digest == CALCULUS_DOMAIN_PIN_SHA256

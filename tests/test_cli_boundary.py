@@ -137,6 +137,28 @@ TABLE = [
     ("winding-loop-string-point", ["contour"], {"op": "winding", "loop": STRING_LOOP, "a": ZERO4}, 2),
     ("factor-string-matrix-entry", ["factor"],
      {"level": 2, "matrix": [["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, 2),
+    # an element with the wrong coefficient count is malformed in every field
+    ("ball-a-3-coefficients", ["domain"], {"op": "ball", "a": [0.1, 0, 0], "z": [0.1, 0, 0, 0]}, 2),
+    ("ball-z-3-coefficients", ["domain"], {"op": "ball", "a": [0.1, 0, 0, 0], "z": [0.1, 0, 0]}, 2),
+    ("ball-frame-3-coefficients", ["domain"],
+     {"op": "ball", "a": [0.1, 0, 0, 0], "z": [0.1, 0, 0, 0],
+      "frame": [[[1, 0, 0], [1, 0, 0, 0]]]}, 2),
+    ("ball-frame-number", ["domain"],
+     {"op": "ball", "a": [0.1, 0, 0, 0], "z": [0.1, 0, 0, 0], "frame": [[1, [1, 0, 0, 0]]]}, 2),
+    ("polydisc-b-3-coefficients", ["domain"],
+     {"op": "polydisc", "b": [0.2, 0, 0], "multipliers": [[[1, 0, 0, 0]] * 4],
+      "z": [0.1, 0.3, 0, 0]}, 2),
+    ("polydisc-z-3-coefficients", ["domain"],
+     {"op": "polydisc", "b": [0.2, 0, 0, 0], "multipliers": [[[1, 0, 0, 0]] * 4],
+      "z": [0.1, 0.3, 0]}, 2),
+    ("polydisc-multipliers-3-coefficients", ["domain"],
+     {"op": "polydisc", "b": [0.2, 0, 0, 0], "multipliers": [[[1, 0, 0, 0]] * 3 + [[1, 0, 0]]],
+      "z": [0.1, 0.3, 0, 0]}, 2),
+    ("rho-maps-3-coefficients", ["normal"],
+     {"op": "rho", "maps": [TWO_MAPS[0], [[1, 0, 0], [1, 0, 0, 0], ZERO4]], "grid": grid()}, 2),
+    ("classify-maps-3-coefficients", ["normal"],
+     {"op": "classify", "maps": [TWO_MAPS[0]] * 7 + [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0]]],
+      "grid": grid()}, 2),
     # the sample budget
     ("schwarz-10001-samples", ["domain"],
      {"op": "schwarz", "map": FRAME_MAP, "samples": 10_001}, 2),

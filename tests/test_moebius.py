@@ -116,7 +116,7 @@ def test_roto_planes_are_integers():
     with pytest.raises(DomainError):
         RotO(((5, 8, 0.7),))
     angles = ((0, 3, 0.4), (2, 6, -1.1))
-    assert np.array_equal(RotO(angles).matrix, givens_product(angles, 8))
+    assert np.array_equal(RotO(angles).matrix, givens_product(angles))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,28 @@ def test_rho_left_multiplication_oracle(grid):
     assert v == pytest.approx(worst + op, rel=1e-12)
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_affine_jacobian_is_the_derivative_of_the_map(level):
+    # z -> (a z) b + c: column k is (a e_k) b; at level 3 this is not L_a R_b
+    rng = np.random.default_rng(60 + level)
+    dim = 1 << level
+    for _ in range(20):
+        a, b, c = (cd(rng.normal(size=dim)) for _ in range(3))
+        f, z = AffineMap(a, b, c), cd(rng.normal(size=dim))
+        got = f.jacobian_at(z).entries
+        assert np.abs(got - jacobian(f, z).entries).max() <= 1e-6
+        for k in range(dim):
+            assert np.array_equal(got[:, k], mul(mul(a, CdNumber.basis(k, level)), b).coeffs)
+
+
+def test_rho_of_an_octonion_affine_map_and_its_own_values_is_small():
+    # the analytic Jacobian against central differences of the same map
+    rng = np.random.default_rng(63)
+    f = AffineMap(*(cd(rng.normal(size=8)) for _ in range(3)))
+    grid = CompactGrid(CdNumber.zero(3), 0.5, 16)
+    assert rho(f, lambda z: f(z), grid).value <= 1e-6
+
+
 def test_rho_monotone_under_refinement(grid, rng):
     f = affine(cd(rng.normal(size=4)), cd(rng.normal(size=4)), cd(rng.normal(size=4)))
     g = affine(cd(rng.normal(size=4)), cd(rng.normal(size=4)), cd(rng.normal(size=4)))
