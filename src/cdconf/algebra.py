@@ -47,6 +47,8 @@ __all__ = [
     "mul_coeffs",
     "conj_coeffs",
     "leads_negative",
+    "require_unit",
+    "require_unit_imaginary",
     "row_dots",
     "row_norms",
     "basis_product",
@@ -56,6 +58,7 @@ __all__ = [
 
 # Default absolute tolerance for algebraic identities on unit-scale inputs.
 ALGEBRA_TOL = 1e-11
+UNIT_SLACK = 1e-12  # slack of the unit norm and unit imaginary tests
 
 _VALID_DIMS = (4, 8, 16, 32, 64)
 _KERNEL_DIMS = (1, 2) + _VALID_DIMS  # the product kernel also takes R and C
@@ -129,6 +132,20 @@ def leads_negative(coeffs) -> bool:
     all are zero): the sign that fixes the -1 in a sign-invariant answer."""
     nz = np.flatnonzero(coeffs)
     return bool(nz.size and coeffs[nz[0]] < 0)
+
+
+def require_unit(x: CdNumber, message: str) -> None:
+    """Raise DomainError(message) unless |x| is 1 within UNIT_SLACK."""
+    if abs(x.norm() - 1.0) > UNIT_SLACK:
+        raise DomainError(message)
+
+
+def require_unit_imaginary(m: CdNumber, message: str) -> None:
+    """Raise DomainError(message) unless m is unit and imaginary, both
+    within UNIT_SLACK."""
+    if abs(m.re) > UNIT_SLACK:
+        raise DomainError(message)
+    require_unit(m, message)
 
 
 def row_dots(x, y) -> np.ndarray:

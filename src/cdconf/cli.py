@@ -217,8 +217,7 @@ def _cmd_phrase(payload, rng, tol):
         return {"lengths": [ph.word_length(w) for w in expr.words]}
     if op == "distance":
         other = ph.parse(_need(payload, "other", str))
-        params = ph.PhraseMetricParams(_num(payload, "b", 0.5))
-        return {"distance": ph.phrase_distance(expr, other, params)}
+        return {"distance": ph.phrase_distance(expr, other, _num(payload, "b", 0.5))}
     if op == "eval":
         h = _cd(payload, "h") if "h" in payload else None
         return {"result": ph.eval_phrase(expr, _cd(payload, "z"), h).to_json()}

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CdNumber, conj_coeffs, inv, mul, mul_coeffs, real_array, row_dots,
-                      row_norms)
+from .algebra import (CdNumber, conj_coeffs, inv, mul, mul_coeffs, real_array,
+                      require_unit_imaginary, row_dots, row_norms)
 from .calculus import finite_value, values_at
 from .errors import (
     BoundaryZeroError,
@@ -65,15 +65,10 @@ PHASE_STEP_LIMIT = math.pi / 4  # re-sample an image curve above this per-step p
 MAX_IMAGE_ROUNDS = 14  # refinement rounds of an image curve before it counts as aliasing
 ON_CURVE_TOL = 1e-12  # a winding reference point this close to the polyline touches it
 CELL_EDGE_SEGMENTS = 12  # segments per edge of a locate_zeros cell boundary
-_DIRECTING_TOL = 1e-12  # slack of the unit imaginary test of M
 _PLANE_TOL = 1e-9  # relative off-plane residual of an in-plane reference point
 _NOT_EVALUABLE = "map not evaluable on the contour"
 _BOUNDARY_ZERO = "|f| fell below tolerance on the contour"
-
-
-def _check_directing(m: CdNumber):
-    if abs(m.re) > _DIRECTING_TOL or abs(m.norm() - 1.0) > _DIRECTING_TOL:
-        raise DomainError("directing element must be unit imaginary")
+_NOT_DIRECTING = "directing element must be unit imaginary"
 
 
 def _plane_points(a0: CdNumber, m: CdNumber, xs, ys) -> np.ndarray:
@@ -90,7 +85,7 @@ class PlanarPath:
     min_segments = 1
 
     def __init__(self, a0: CdNumber, m: CdNumber, pts):
-        _check_directing(m)
+        require_unit_imaginary(m, _NOT_DIRECTING)
         if m.dim != a0.dim:
             raise DomainError("a0 and M must share one algebra level")
         pts = real_array(pts)
@@ -534,7 +529,7 @@ class PlaneRect:
     y1: float
 
     def __post_init__(self):
-        _check_directing(self.m)
+        require_unit_imaginary(self.m, _NOT_DIRECTING)
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise DomainError("rectangle bounds must be increasing")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CdNumber, conj, inv, mul
+from .algebra import CdNumber, conj, inv, mul, require_unit, require_unit_imaginary
 from .calculus import DEFAULT_STEP, jacobian
 from .errors import DomainError, PreconditionError
 from .moebius import INF
@@ -102,9 +102,9 @@ class BallAutomorphism:
             raise DomainError("the parameter point must lie in the open unit ball")
         if frame is not None:
             frame = tuple((l, r) for l, r in frame)
-            for l, r in frame:
-                if abs(l.norm() - 1.0) > 1e-12 or abs(r.norm() - 1.0) > 1e-12:
-                    raise DomainError("frame multipliers must have unit norm")
+            for pair in frame:
+                for x in pair:
+                    require_unit(x, "frame multipliers must have unit norm")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "frame", frame)
 
@@ -173,8 +173,7 @@ class PolydiscAutomorphism:
             if len(ms) != 4:
                 raise DomainError("each coordinate carries 4 unit multipliers")
             for c in ms:
-                if abs(c.norm() - 1.0) > 1e-12:
-                    raise DomainError("multipliers must have unit norm")
+                require_unit(c, "multipliers must have unit norm")
             if b[0].level == 2:
                 if (ms[2] - CdNumber.one(2)).norm() > 0 or (ms[3] - CdNumber.one(2)).norm() > 0:
                     raise DomainError("over H the outer multipliers are fixed to 1")
@@ -226,9 +225,7 @@ def polydisc_zero_preimage(psi: PolydiscAutomorphism, j: int = 0) -> CdNumber:
 # half space <-> ball (scalar case)
 # ---------------------------------------------------------------------------
 
-def _unit_imaginary(m: CdNumber) -> None:
-    if abs(m.re) > 1e-12 or abs(m.norm() - 1.0) > 1e-12:
-        raise DomainError("M must be unit imaginary")
+_NOT_UNIT_IMAGINARY = "M must be unit imaginary"
 
 
 def cayley_to_ball(z: CdNumber, m: CdNumber):
@@ -236,7 +233,7 @@ def cayley_to_ball(z: CdNumber, m: CdNumber):
 
     The pole z = -M returns the infinity sentinel.
     """
-    _unit_imaginary(m)
+    require_unit_imaginary(m, _NOT_UNIT_IMAGINARY)
     denom = z + m
     if denom.norm() == 0.0:
         return INF
@@ -245,7 +242,7 @@ def cayley_to_ball(z: CdNumber, m: CdNumber):
 
 def ball_to_halfspace(w: CdNumber, m: CdNumber):
     """Inverse transform z = (M (1 + w)) (1 - w)^{-1}; w = 1 returns INF."""
-    _unit_imaginary(m)
+    require_unit_imaginary(m, _NOT_UNIT_IMAGINARY)
     one = CdNumber.one(w.level)
     denom = one - w
     if denom.norm() == 0.0:

@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import (CdNumber, cd, conj_coeffs, inv, leads_negative, mul, mul_coeffs,
                       real_number, row_dots)
 from .calculus import givens_product
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, EvaluationError
 
 __all__ = [
     "INF",
@@ -286,7 +286,10 @@ class Hypersphere:
         return self.j * (-1.0 / self.e)
 
     def radius2(self) -> float:
-        return (self.j.norm2() - self.e * self.d) / (self.e * self.e)
+        e2 = self.e * self.e
+        if e2 == 0.0:  # E below about 1e-162 underflows
+            raise EvaluationError("E*E underflows to 0: the hypersphere radius is not computable")
+        return (self.j.norm2() - self.e * self.d) / e2
 
     def radius(self) -> float:
         return math.sqrt(self.radius2())

@@ -13,7 +13,8 @@ Normalizations applied on construction:
   coefficient (held exactly as a Fraction);
 * directly multiplied constants fold into one constant, directly
   multiplied powers of the same variable merge (z^p z^q -> z^{p+q}),
-  and a directly multiplied pair zc^q z^p reorders to z^p zc^q;
+  and a directly multiplied pair zc^q z^p reorders to z^p zc^q (the
+  three local rules, stated once in `_local_rule`);
 * words with zero coefficient or a zero constant are dropped, words with
   identical trees combine.
 
@@ -22,7 +23,8 @@ Words consisting of constants only are not admitted into a phrase.
 Nodes are hash-consed: every leaf and product is built through one weak
 intern table, so equal subtrees are one object, and each node computes its
 facts (hash, z-degree, constant level, whether it is normal, its rendered
-text and the kinds of its leaves) once, when it is made.  Normalization
+text and the kinds of its leaves) once, when it is made.  A product is
+normal when its children are and no local rule applies; normalization
 stops at a normal subtree, words sort on the cached text, and degree and
 kind queries read the facts instead of walking the tree.  A phrase keeps,
 next to its antiderivatives and hat operators, the straight-line program
@@ -53,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _KERNEL_DIMS, CdNumber, conj_coeffs, mul_coeffs
+from .algebra import _KERNEL_DIMS, _VALID_DIMS, CdNumber, conj_coeffs, mul_coeffs
 from .errors import (
     DimensionError,
     MissingOperatorArgumentError,
@@ -74,7 +76,6 @@ __all__ = [
     "Mul",
     "Word",
     "Phrase",
-    "PhraseMetricParams",
     "parse",
     "render",
     "word_length",
@@ -86,9 +87,6 @@ __all__ = [
     "z",
     "zc",
     "e",
-    "ec",
-    "op_one",
-    "op_one_c",
     "const",
 ]
 
@@ -255,12 +253,7 @@ class Mul(_Node):
                 raise PhraseSemanticError(f"unknown phrase node {child!r}")
         ll, rl = left._level, right._level
         level = rl if ll is None else ll if rl is None or rl == ll else _MIXED
-        normal = (left._normal and right._normal
-                  and not (isinstance(left, Const) and isinstance(right, Const))
-                  and not (isinstance(left, _Power) and type(left) is type(right)
-                           and left.var == right.var)
-                  and not (isinstance(left, ZcPow) and isinstance(right, ZPow)
-                           and left.var == right.var))
+        normal = left._normal and right._normal and _local_rule(left, right) is None
         # most products add no new kind: share a child's set
         kinds = (left._kinds if right._kinds <= left._kinds
                  else right._kinds if left._kinds <= right._kinds
@@ -285,6 +278,37 @@ def _leaves(tree):
 # ---------------------------------------------------------------------------
 
 _ONE = Fraction(1)
+
+
+def _fold(left, right):
+    """[a] [b] -> [a b], its real scalar carried out."""
+    prod = mul_coeffs(np.asarray(left.values), np.asarray(right.values))
+    return _normalize_tree(Const(tuple(prod)))
+
+
+def _merge(left, right):
+    """z^p z^q -> z^{p+q}, and zc^p zc^q -> zc^{p+q}."""
+    return _ONE, type(left)(left.p + right.p, left.var)
+
+
+def _swap(left, right):
+    """zc^q z^p -> z^p zc^q: conjugate powers of one variable commute, and
+    z powers display left."""
+    return _ONE, Mul(right, left)
+
+
+def _local_rule(left, right):
+    """The rewrite of the product of two normal trees, or None when the
+    product is normal.  A rewrite maps (left, right) to (Fraction
+    coefficient, tree or None)."""
+    if isinstance(left, Const):
+        return _fold if isinstance(right, Const) else None
+    if isinstance(left, _Power) and isinstance(right, _Power) and left.var == right.var:
+        if type(left) is type(right):
+            return _merge
+        if isinstance(left, ZcPow):
+            return _swap
+    return None
 
 
 def _normalize_tree(tree):
@@ -312,16 +336,11 @@ def _normalize_tree(tree):
         return coeff, right
     if right is None:
         return coeff, left
-    if isinstance(left, Const) and isinstance(right, Const):
-        prod = mul_coeffs(np.asarray(left.values), np.asarray(right.values))
-        c2, folded = _normalize_tree(Const(tuple(prod)))
-        return coeff * c2, folded
-    if isinstance(left, _Power) and type(left) is type(right) and left.var == right.var:
-        return coeff, type(left)(left.p + right.p, left.var)
-    if isinstance(left, ZcPow) and isinstance(right, ZPow) and left.var == right.var:
-        # conjugate powers of one variable commute; z powers display left
-        return coeff, Mul(right, left)
-    return coeff, Mul(left, right)
+    rule = _local_rule(left, right)
+    if rule is None:
+        return coeff, Mul(left, right)
+    c2, tree = rule(left, right)
+    return coeff * c2, tree
 
 
 @dataclass(frozen=True)
@@ -508,18 +527,6 @@ def e(var: int = 1) -> Phrase:
     return _single(E(var))
 
 
-def ec(var: int = 1) -> Phrase:
-    return _single(Ec(var))
-
-
-def op_one(var: int = 1) -> Phrase:
-    return _single(OneOp(var))
-
-
-def op_one_c(var: int = 1) -> Phrase:
-    return _single(OneOpC(var))
-
-
 def const(x) -> Phrase:
     if not isinstance(x, CdNumber):
         raise TypeError("const expects a CdNumber; use int/float directly in products")
@@ -610,20 +617,18 @@ class _Parser:
         return m
 
     def parse_phrase(self) -> list:
-        lead = 1
-        m = self.peek()
-        if m is not None and m.group("punct") in ("+", "-"):
-            self.take()
-            lead = 1 if m.group("punct") == "+" else -1
-        words = [(lead * c, t) for c, t in self.parse_term()]
+        """Terms joined by + and -; the sign of the first term is optional."""
+        words, first = [], True
         while True:
             m = self.peek()
-            if m is None or m.group("punct") not in ("+", "-"):
-                break
-            self.take()
-            sign = 1 if m.group("punct") == "+" else -1
+            signed = m is not None and m.group("punct") in ("+", "-")
+            if not (first or signed):
+                return words
+            if signed:
+                self.take()
+            sign = -1 if signed and m.group("punct") == "-" else 1
             words += [(sign * c, t) for c, t in self.parse_term()]
-        return words
+            first = False
 
     def parse_term(self) -> list:
         acc = self.parse_factor()
@@ -680,7 +685,7 @@ class _Parser:
                     break
                 if m2.group("punct") != ",":
                     self.error("expected ',' or ']' in constant")
-            if len(values) not in (4, 8, 16, 32, 64):
+            if len(values) not in _VALID_DIMS:
                 self.error("constant length must be a power of two in 4..64")
             return [(Fraction(1), Const(tuple(values)))]
         if punct == "(":
@@ -798,23 +803,15 @@ def word_length(w: Word) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PhraseMetricParams:
-    b: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.b < 1.0:
-            raise ValueError("b must lie in (0, 1)")
-
-
-def phrase_distance(nu: Phrase, mu: Phrase, params: PhraseMetricParams | None = None) -> float:
-    """d(nu, mu) = sum_j l_j b^j over homogeneity degrees j.
+def phrase_distance(nu: Phrase, mu: Phrase, b: float = 0.5) -> float:
+    """d(nu, mu) = sum_j l_j b^j over homogeneity degrees j, for b in (0, 1).
 
     l_j is 0 when the degree-j word multisets coincide and otherwise the
     maximum length over the words in their symmetric difference (equal
     words never contribute, so d(nu, nu) = 0).
     """
-    params = params or PhraseMetricParams()
+    if not 0.0 < b < 1.0:
+        raise ValueError("b must lie in (0, 1)")
     ga, gb = nu.degree_groups(), mu.degree_groups()
     total = 0.0
     for j in sorted(set(ga) | set(gb)):
@@ -824,7 +821,7 @@ def phrase_distance(nu: Phrase, mu: Phrase, params: PhraseMetricParams | None = 
             continue
         diff = [w for k, w in wa.items() if k not in wb]
         diff += [w for k, w in wb.items() if k not in wa]
-        total += max(word_length(w) for w in diff) * params.b ** j
+        total += max(word_length(w) for w in diff) * b ** j
     return total
 
 
@@ -1056,11 +1053,9 @@ def _a_tree(tree, var: int, side: str) -> list:
         return [(Fraction(1, tree.p + 1), ZPow(tree.p + 1, var))]
     if isinstance(tree, E) and tree.var == var:
         return [(Fraction(1), ZPow(1, var))]
-    if not isinstance(tree, Mul):
-        raise UnsupportedPhraseError(
-            f"cannot antidifferentiate a word constant in variable {var}")
-    lact, ract = _has_active(tree.left, var), _has_active(tree.right, var)
-    if not lact and not ract:
+    lact = isinstance(tree, Mul) and _has_active(tree.left, var)
+    ract = isinstance(tree, Mul) and _has_active(tree.right, var)
+    if not (lact or ract):
         raise UnsupportedPhraseError(
             f"cannot antidifferentiate a word constant in variable {var}")
     if not ract:

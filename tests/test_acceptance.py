@@ -7,7 +7,8 @@ thm4-*/thm5-* cases respectively; criterion 8 covers both hypersphere
 suites.
 """
 
-import pytest
+import hashlib
+import json
 
 from cdconf.suites import SUITES, run_suite
 
@@ -112,3 +113,13 @@ def test_criterion_14_finite_difference_validity():
 def test_every_suite_is_tied_to_a_criterion():
     # the registry carries exactly the fourteen acceptance suites
     assert len(SUITES) == 14
+
+
+# sha256 of the JSON of all fourteen reports at SEED, computed before the
+# suite sizes and tolerances moved from parameters into the suite bodies
+SUITES_PIN_SHA256 = "54013e807e4c5df93304313fc2db99c2d8df303b3310c26fc29e7be91d70e359"
+
+
+def test_suite_reports_keep_their_bytes():
+    text = json.dumps([report(s.name).to_json() for s in SUITES], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITES_PIN_SHA256

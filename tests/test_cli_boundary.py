@@ -217,6 +217,27 @@ def test_a_product_that_overflows_is_not_finite():
                                          "type": "EvaluationError"}})
 
 
+UNDERFLOWING_SPHERES = [
+    sphere_image(E=1e-210, D=-1e-210),
+    {"op": "symmetric", "z": [1, 0, 0, 0], "sphere": {"E": 1e-200, "J": ZERO4, "D": -1e-200}},
+    {"op": "map-sphere", "word": [{"op": "shift", "c": [1, 0, 0, 0]}], "level": 2,
+     "sphere": {"E": 1e-170, "J": ZERO4, "D": -1e-170}},
+    # a valid sphere whose E the multiplication shrinks to 1e-170
+    {"op": "map-sphere", "word": [{"op": "mulq", "a": [1e10, 0, 0, 0], "b": [1, 0, 0, 0]}],
+     "level": 2, "sphere": {"E": 1e-150, "J": ZERO4, "D": -1e-150}},
+]
+
+
+@pytest.mark.parametrize("payload", UNDERFLOWING_SPHERES,
+                         ids=["map-sphere-E-1e-210", "symmetric-E-1e-200", "shift-on-E-1e-170",
+                              "mulq-shrinks-E-1e-150"])
+def test_a_sphere_whose_e_squared_underflows_is_an_evaluation_error(payload):
+    code, doc, _ = invoke(["moebius"], json.dumps(payload))
+    assert (code, doc) == (1, {"error": {
+        "message": "E*E underflows to 0: the hypersphere radius is not computable",
+        "type": "EvaluationError"}})
+
+
 def test_argument_errors_are_schema_errors():
     code, doc, _ = invoke(["eval", "--seed", "x"], "{}")
     assert code == 2 and doc["error"]["type"] == "schema"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cdconf.algebra import CdNumber, cd, inv, mul
 from cdconf.calculus import factor_quaternion, givens_product, is_pseudoconformal_at, jacobian
-from cdconf.errors import DimensionError, DomainError
+from cdconf.errors import DimensionError, DomainError, EvaluationError
 from cdconf.moebius import (
     INF,
     Hypersphere,
@@ -211,6 +211,18 @@ def test_sphere_validation():
         Hypersphere(0.0, CdNumber.zero(2), 0.0)
     with pytest.raises(DomainError):
         Hypersphere(1.0, CdNumber.zero(2), 1.0)  # R^2 = -1
+
+
+def test_a_sphere_whose_e_squared_underflows_is_an_evaluation_error():
+    # E*E underflows to 0 below |E| of about 1e-162
+    with pytest.raises(EvaluationError, match=r"E\*E underflows"):
+        Hypersphere(1e-170, CdNumber.zero(2), -1e-170)
+    s = Hypersphere(1e-150, CdNumber.zero(2), -1e-150)
+    assert s.radius2() == 1.0
+    # a multiplication that shrinks E to 1e-170 makes an invalid intermediate sphere
+    word = MoebiusWord([MulQ(CdNumber.real(1e10, 2), CdNumber.one(2))], 2)
+    with pytest.raises(EvaluationError, match=r"E\*E underflows"):
+        map_hypersphere(word, s)
 
 
 def test_unit_sphere_fixed_by_inversion():

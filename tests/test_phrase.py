@@ -173,6 +173,56 @@ def test_level_mismatch_rejected():
         ph.parse("[0,1,0,0] z [0,1,0,0,0,0,0,0]")
 
 
+_LEAVES = st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5]), min_size=4, max_size=4).map(
+        lambda values: ph.Const(tuple(values))),
+    st.builds(lambda cls, var: cls(var),
+              st.sampled_from([ph.E, ph.Ec, ph.OneOp, ph.OneOpC]), st.sampled_from([1, 2])),
+    st.builds(lambda cls, p, var: cls(p, var),
+              st.sampled_from([ph.ZPow, ph.ZcPow]), st.integers(1, 3), st.sampled_from([1, 2])),
+)
+
+
+def _full_normalize(tree):
+    """(coefficient, tree or None) by the rules of the module docstring,
+    written out here on their own and walking every subtree: normalization
+    without its stop at normal subtrees."""
+    if isinstance(tree, ph.Const):
+        arr = np.asarray(tree.values)
+        if arr[1:].any():
+            return Fraction(1), tree
+        return Fraction(arr[0]), None
+    if not isinstance(tree, ph.Mul):
+        return Fraction(1), tree
+    cl, left = _full_normalize(tree.left)
+    cr, right = _full_normalize(tree.right)
+    coeff = cl * cr
+    if coeff == 0:
+        return Fraction(0), None
+    if left is None or right is None:
+        return coeff, right if left is None else left
+    if isinstance(left, ph.Const) and isinstance(right, ph.Const):
+        c2, folded = _full_normalize(ph.Const(tuple(mul_coeffs(np.asarray(left.values),
+                                                               np.asarray(right.values)))))
+        return coeff * c2, folded
+    if isinstance(left, ph._Power) and type(left) is type(right) and left.var == right.var:
+        return coeff, type(left)(left.p + right.p, left.var)
+    if isinstance(left, ph.ZcPow) and isinstance(right, ph.ZPow) and left.var == right.var:
+        return coeff, ph.Mul(right, left)
+    return coeff, ph.Mul(left, right)
+
+
+@settings(max_examples=400)
+@given(tree=st.recursive(_LEAVES, lambda sub: st.builds(ph.Mul, sub, sub), max_leaves=8))
+def test_a_node_is_normal_exactly_when_normalization_keeps_it(tree):
+    # the normal fact of a node and the rewrites of normalization read one
+    # statement of the local rules; both must agree with the rules walked
+    # over the whole tree
+    coeff, out = _full_normalize(tree)
+    assert ph._normalize_tree(tree) == (coeff, out)
+    assert tree._normal == (out is tree and coeff == 1)
+
+
 # ---------------------------------------------------------------------------
 # lengths and the metric
 # ---------------------------------------------------------------------------
@@ -200,15 +250,14 @@ def test_metric_identity_and_examples():
 
 
 def test_metric_axioms(rng):
-    params = ph.PhraseMetricParams(0.5)
     ps = [random_phrase(rng) for _ in range(12)]
     for p in ps:
-        assert ph.phrase_distance(p, p, params) == 0.0
+        assert ph.phrase_distance(p, p, b=0.5) == 0.0
     for p in ps:
         for q in ps:
-            dpq = ph.phrase_distance(p, q, params)
+            dpq = ph.phrase_distance(p, q, b=0.5)
             assert dpq >= 0.0
-            assert dpq == pytest.approx(ph.phrase_distance(q, p, params))
+            assert dpq == pytest.approx(ph.phrase_distance(q, p, b=0.5))
             if dpq == 0.0:
                 assert p == q
 
@@ -216,23 +265,22 @@ def test_metric_axioms(rng):
 def test_metric_triangle_empirical(rng):
     # the word-pair maximum makes the triangle inequality non-obvious;
     # check it on random triples and report violations as failures
-    params = ph.PhraseMetricParams(0.5)
     ps = [random_phrase(rng, max_words=3, max_degree=4) for _ in range(30)]
     bad = 0
     for i in range(len(ps)):
         for j in range(len(ps)):
             for k in range(len(ps)):
-                dij = ph.phrase_distance(ps[i], ps[j], params)
-                djk = ph.phrase_distance(ps[j], ps[k], params)
-                dik = ph.phrase_distance(ps[i], ps[k], params)
+                dij = ph.phrase_distance(ps[i], ps[j], b=0.5)
+                djk = ph.phrase_distance(ps[j], ps[k], b=0.5)
+                dik = ph.phrase_distance(ps[i], ps[k], b=0.5)
                 if dik > dij + djk + 1e-12:
                     bad += 1
     assert bad == 0
 
 
 def test_metric_param_validation():
-    with pytest.raises(ValueError):
-        ph.PhraseMetricParams(1.5)
+    with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)"):
+        ph.phrase_distance(ph.parse("z"), ph.parse("z^2"), b=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +813,9 @@ def test_degrees_on_hat_kernels_match_a_tree_walk(rng):
         assert groups == {d: [w for w in kernel.words if _walked_degree(w.tree) == d]
                           for d in {_walked_degree(w.tree) for w in kernel.words}}
         assert kernel.max_degree() == max(_walked_degree(w.tree) for w in kernel.words)
-    params = ph.PhraseMetricParams(0.3)
     for a in kernels[:9]:
         for b in kernels[:9]:
-            assert ph.phrase_distance(a, b, params) == _walked_distance(a, b, 0.3)
+            assert ph.phrase_distance(a, b, 0.3) == _walked_distance(a, b, 0.3)
 
 
 # ---------------------------------------------------------------------------
