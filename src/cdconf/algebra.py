@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
+from .errors import (DimensionError, DivisionByZeroError, DomainError, EvaluationError,
+                     IndexRangeError)
 
 __all__ = [
     "CdNumber",
@@ -396,10 +397,16 @@ def proj(j: int, h: CdNumber) -> float:
 
 
 def exp(x: CdNumber) -> CdNumber:
-    """exp via the polar form e^{Re x} (cos|v| + (v/|v|) sin|v|), v = Im x."""
+    """exp via the polar form e^{Re x} (cos|v| + (v/|v|) sin|v|), v = Im x;
+    EvaluationError when |v| or e^{Re x} overflows."""
     v = x.imag()
     t = v.norm()
-    scale = math.exp(x.re)
+    try:
+        scale = math.exp(x.re)
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(t) and math.isfinite(scale)):
+        raise EvaluationError("exp overflows: |Im x| or e^(Re x) is not finite")
     out = np.zeros(x.dim)
     out[0] = math.cos(t)
     if t > 0.0:

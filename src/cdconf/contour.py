@@ -6,10 +6,13 @@ Every in-plane point, loop vertex or disc sample, is embedded by one rule,
 a0 + x + M y in the order of the per-point CdNumber sum, and every map
 sample on the contour by one finite-value rule: a pole or a non-finite
 value is an EvaluationError at its point.
-The line-integral operator realizes the partition sums of the operator
-kernel (the hat of the phrase's antiderivative) on degree-exact Gauss nodes
-(at most 8), refined dyadically; for a one-sided tagged sum the limit is
-the same but first-order slow, so the segment rule is used instead.
+A line integral is the limit of partition sums of its kernel, the full
+derivative of the phrase's antiderivative along each segment displacement,
+evaluated in forward mode on the antiderivative's program at any level.
+Degree-exact Gauss nodes sum it: up to degree 15, two embedded rules on
+the path's own partition check each other (the idea of Gauss-Kronrod);
+past that, or when they disagree, the partition is refined dyadically.  A
+one-sided tagged sum has the same limit but is first-order slow.
 
 Winding numbers of the polylines themselves are exact (per-segment phase
 increments never reach pi for an off-curve reference point).  Image curves
@@ -43,7 +46,7 @@ from .errors import (
     PreconditionError,
     QuadratureError,
 )
-from .phrase import Phrase, hat_operator
+from .phrase import Phrase, antiderive, eval_phrase
 
 __all__ = [
     "PlanarPath",
@@ -177,52 +180,66 @@ class PlanarLoop(PlanarPath):
 # line integral
 # ---------------------------------------------------------------------------
 
-# n-node Gauss-Legendre rules on [0, 1], n = 1 .. 8; the n-node rule is
+# n-node Gauss-Legendre rules on [0, 1], n = 1 .. 9; the n-node rule is
 # exact for polynomials of degree 2n - 1 (Golub & Welsch 1969)
 _GAUSS_RULES = [((x + 1.0) / 2.0, w / 2.0)
-                for x, w in map(np.polynomial.legendre.leggauss, range(1, 9))]
+                for x, w in map(np.polynomial.legendre.leggauss, range(1, 10))]
+_EXACT_DEGREE = 15  # the 8-node rule, the ladder's largest, is exact up to this degree
 MAX_PARTITION_SEGMENTS = 2 ** 12  # line_integral refines no further
 MAX_ZERO_CELLS = 2 ** 12  # locate_zeros counts zeros in no more cells
 
 
-def _partition_sums(kernel: Phrase, paths: list, rule) -> list:
-    """The rule's partition sum of the kernel over each path, all from one
-    kernel call on the concatenated (segments, nodes, dim) points."""
-    nodes, weights = rule
+def _partition_sums(mu: Phrase, paths: list, rules: list) -> list:
+    """Per path, the partition sum of each rule of the kernel: mu's full
+    derivative along each segment's displacement.  All of them come from
+    one kernel call on the concatenated (segments, nodes, dim) points."""
+    nodes = np.concatenate([x for x, _ in rules])
     verts = [path.embedded() for path in paths]
     starts = np.concatenate([v[:-1] for v in verts])
     deltas = np.concatenate([np.diff(v, axis=0) for v in verts])  # (nseg, dim)
     # evaluation points: nseg x nodes, each segment traversed by Gauss nodes
     pts = starts[:, None, :] + nodes[None, :, None] * deltas[:, None, :]
     hs = np.broadcast_to(deltas[:, None, :], pts.shape)
-    vals = kernel.eval(pts, h=hs)  # (nseg, nodes, dim)
+    vals = eval_phrase(mu, pts, tangent=hs)  # (nseg, nodes, dim)
     ends = np.cumsum([len(v) - 1 for v in verts])[:-1]
-    return [np.einsum("j,ijk->k", weights, part) for part in np.split(vals, ends)]
+    cuts = np.cumsum([len(x) for x, _ in rules])[:-1]
+    return [[np.einsum("j,ijk->k", w, part) for (_, w), part
+             in zip(rules, np.split(path_vals, cuts, axis=1))]
+            for path_vals in np.split(vals, ends)]
 
 
 def line_integral(nu: Phrase, gamma: PlanarPath, refine: float = 1e-10,
                   side: str = "left", max_levels: int = 20) -> CdNumber:
     """Integral of the phrase nu along the polyline.
 
-    The integrand, the operator kernel hat(nu) on the segment displacements,
-    is on each segment a polynomial of nu's z-degree d, summed on
-    d // 2 + 1 degree-exact Gauss nodes (at most 8), refined dyadically
-    until two successive estimates agree within `refine`; QuadratureError,
-    with the last two estimates, stops it before the partition exceeds
+    The integrand, the full derivative of nu's antiderivative mu (branch
+    chosen by `side`) along the segment displacement, is a polynomial of
+    nu's z-degree d on each segment, exact on n = d // 2 + 1 Gauss nodes.
+    For d <= 15 one kernel call sums the n- and (n+1)-node rules on gamma
+    itself, and the (n+1)-node sum is returned when they agree within
+    `refine`.  Otherwise the n-node rule (at most 8 nodes) is refined
+    dyadically until two successive estimates agree within `refine`;
+    QuadratureError, with the last two estimates, stops it after
+    `max_levels` refinements or before the partition exceeds
     MAX_PARTITION_SEGMENTS segments.  Closed paths of z-only phrases
-    integrate to zero; open paths reproduce the endpoint difference of the
-    antiderivative (branch chosen by `side`).
+    integrate to zero; open paths give the endpoint difference of mu.
     """
-    kernel = hat_operator(nu, side=side)
-    # hat(nu) has nu's z-degree, and nu has far fewer words
-    rule = _GAUSS_RULES[min(nu.max_degree() // 2, len(_GAUSS_RULES) - 1)]
+    mu = antiderive(nu, side)
+    degree = nu.max_degree()
+    rule = _GAUSS_RULES[min(degree, _EXACT_DEGREE) // 2]
     # gamma, then the refinements that keep within MAX_PARTITION_SEGMENTS segments
     fits = (MAX_PARTITION_SEGMENTS // (len(gamma.pts) - 1)).bit_length() - 1
     paths = itertools.accumulate(range(max(min(max_levels, fits), 0)),
                                  lambda path, _: path.refined(), initial=gamma)
-    sums, batch = [], list(itertools.islice(paths, 2))
+    if degree <= _EXACT_DEGREE:
+        (low, high), = _partition_sums(mu, [next(paths)], [rule, _GAUSS_RULES[degree // 2 + 1]])
+        if np.linalg.norm(high - low) <= refine:
+            return CdNumber(high)
+        sums, batch = [low], list(itertools.islice(paths, 1))
+    else:
+        sums, batch = [], list(itertools.islice(paths, 2))
     while batch:
-        for cur in _partition_sums(kernel, batch, rule):
+        for cur, in _partition_sums(mu, batch, [rule]):
             if sums and np.linalg.norm(cur - sums[-1]) <= refine:
                 return CdNumber(cur)
             sums.append(cur)

@@ -29,7 +29,9 @@ stops at a normal subtree, words sort on the cached text, and degree and
 kind queries read the facts instead of walking the tree.  A phrase keeps,
 next to its antiderivatives and hat operators, the straight-line program
 that evaluates it: compiled on the first call, it lists the distinct
-products in evaluation order with their slots and last uses.
+products in evaluation order with their slots and last uses.  The same
+walk of the program evaluates the phrase's full derivative along a
+direction in forward mode, one tangent per slot.
 
 Differentiation at 1 maps z^p to p z^{p-1} and z to the marker e;
 antidifferentiation inverts it exactly (word for word) through the
@@ -937,7 +939,16 @@ def _leaf_value(kind, arg, zenv: dict, henv: dict, dim: int):
     return conj_coeffs(zenv[arg]) if kind == "zc" else zenv[arg]
 
 
-def eval_phrase(phrase: Phrase, zval, h=None):
+def _product_tangent(a, ta, b, tb):
+    """The tangent (ab)' = a'b + ab' of a product, None when neither factor
+    has one."""
+    if ta is None:
+        return None if tb is None else mul_coeffs(a, tb)
+    out = mul_coeffs(ta, b)
+    return out if tb is None else out + mul_coeffs(a, tb)
+
+
+def eval_phrase(phrase: Phrase, zval, h=None, tangent=None):
     """Evaluate a phrase at z (CdNumber or (..., 2^r) array).
 
     Leaves map as: constants to themselves, e and ec to 1, z^p and zc^p to
@@ -945,16 +956,28 @@ def eval_phrase(phrase: Phrase, zval, h=None):
     whenever the phrase contains operator slots; for several variables pass
     dicts {var: value}.  The phrase's program, compiled on the first call
     and kept, multiplies each distinct product subtree once.
+
+    With a tangent t (CdNumber or array) the result is instead the full
+    derivative at z along t in variable 1, in forward mode: each slot
+    carries a value and a tangent, (ab)' = a'b + ab', a z leaf of variable 1
+    has tangent t, and constants, e and leaves of other variables have
+    none.  Each bracket is differentiated as it is multiplied, so this holds
+    at every level.  The phrase must be z-only in variable 1.
     """
     zenv = _as_env(zval)
     henv = _as_env(h)
+    arrays = list(zenv.values()) + list(henv.values())
+    if tangent is not None:
+        _check_z_only(phrase, 1, "the tangent evaluation")
+        tangent = tangent.coeffs if isinstance(tangent, CdNumber) else np.asarray(tangent, float)
+        arrays.append(tangent)
     program = phrase._derived.get("program")
     if program is None:
         program = phrase._derived["program"] = _compile(phrase)
     has_operator, size, words = program
     if has_operator and not henv:
         raise MissingOperatorArgumentError("phrase contains operator slots; supply h")
-    dims = {v.shape[-1] for v in zenv.values()} | {v.shape[-1] for v in henv.values()}
+    dims = {v.shape[-1] for v in arrays}
     if phrase.level is not None:
         dims.add(1 << phrase.level)
     if len(dims) > 1:
@@ -964,20 +987,26 @@ def eval_phrase(phrase: Phrase, zval, h=None):
     dim = dims.pop()
     if dim not in _KERNEL_DIMS:  # a phrase with no product meets no kernel check
         raise DimensionError(f"cannot evaluate in dimension {dim}: it must be in {_KERNEL_DIMS}")
-    batch = np.broadcast_shapes(*(v.shape[:-1] for v in list(zenv.values()) + list(henv.values())))
+    batch = np.broadcast_shapes(*(v.shape[:-1] for v in arrays))
     values = [None] * size
+    tangents = [None] * size  # None where a slot has no tangent, as all have without t
     total = np.zeros(batch + (dim,))
     for coeff, loads, steps, root, drop in words:
         coeff = float(coeff)
         for slot, kind, arg in loads:
             values[slot] = _leaf_value(kind, arg, zenv, henv, dim)
+            tangents[slot] = tangent if kind == "z" and arg == 1 else None
         for dst, left, right, dead in steps:
             values[dst] = mul_coeffs(values[left], values[right])
+            tangents[dst] = _product_tangent(values[left], tangents[left],
+                                             values[right], tangents[right])
             for slot in dead:
-                values[slot] = None
-        total = total + coeff * values[root]
+                values[slot] = tangents[slot] = None
+        out = values[root] if tangent is None else tangents[root]
+        if out is not None:
+            total = total + coeff * out
         for slot in drop:
-            values[slot] = None
+            values[slot] = tangents[slot] = None
     if isinstance(zval, CdNumber) or (isinstance(zval, dict) and zval and
                                       isinstance(next(iter(zval.values())), CdNumber)):
         if total.ndim == 1:
@@ -1122,6 +1151,9 @@ def hat_operator(phrase: Phrase, var: int = 1, side: str = "left") -> Phrase:
 
     Evaluating the result with h equal to a displacement realizes the
     integral-sum kernel; with h = 1 it reproduces the input phrase values.
+    Its expansion z^p -> sum_i (z^i I) z^{p-1-i} is the full derivative
+    only in alternative algebras (levels <= 3), which is why line_integral
+    differentiates the antiderivative with eval_phrase's tangent instead.
     The result is built once per (var, side) and kept on the phrase.
     """
     _check_side(side)

@@ -100,9 +100,12 @@ def _case(name, worst, tol):
     return SuiteCase(name, worst <= tol, float(worst), float(tol))
 
 
+_FAILED = 1.0  # the worst of a failed check: finite, so its report prints, and above every tol
+
+
 def _verdict(name, ok):
     """A case that records a yes/no property: worst 0 when it holds, else 1."""
-    return _case(name, 0.0 if ok else 1.0, 0.5)
+    return _case(name, 0.0 if ok else _FAILED, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +341,10 @@ def _suite_closure(rng):
         vg = is_pseudoconformal_at(g, fz, tol=1e-3)
         vc = is_pseudoconformal_at(compose(f, g), z, tol=1e-3)
         if not (vf.ok and vg.ok and vc.ok):
-            return math.inf, 0.0
+            return _FAILED, 0.0
         vi = is_pseudoconformal_at(inverse(f), fz, tol=1e-3)
         return (abs(vc.lam - vf.lam * vg.lam) / (vf.lam * vg.lam),
-                abs(vi.lam - 1.0 / vf.lam) * vf.lam if vi.ok else math.inf)
+                abs(vi.lam - 1.0 / vf.lam) * vf.lam if vi.ok else _FAILED)
 
     comps, invs = zip(*sample(200, attempt))
     return [
@@ -587,7 +590,7 @@ def _suite_cartan(rng):
         samples = ball_points(rng, level, 250, 0.4, 0.95)
         res = cartan_check(f, CdNumber.zero(level), samples, tol=1e-8)
         if not res.is_identity:
-            return [_case("thm30-identity-certified", math.inf, 1e-8)]
+            return [_case("thm30-identity-certified", _FAILED, 1e-8)]
         worst = max(worst, res.max_deviation)
     return [_case("thm30-identity-certified", worst, 1e-8)]
 
@@ -616,7 +619,7 @@ def _suite_schwarz(rng):
         samples = ball_points(rng, level, 40, 0.4, 0.97)
         res = schwarz_check(f, norm_in, norm_out, samples, tol=1e-9)
         if not res.holds:
-            return [_case("thm36-norm-shrinking", math.inf, 1e-9)]
+            return [_case("thm36-norm-shrinking", _FAILED, 1e-9)]
         worst = max(worst, res.worst_ratio - 1.0)
     return [_case("thm36-norm-shrinking", worst, 1e-9)]
 

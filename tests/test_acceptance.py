@@ -116,8 +116,10 @@ def test_every_suite_is_tied_to_a_criterion():
 
 
 # sha256 of the JSON of all fourteen reports at SEED, computed before the
-# suite sizes and tolerances moved from parameters into the suite bodies
-SUITES_PIN_SHA256 = "54013e807e4c5df93304313fc2db99c2d8df303b3310c26fc29e7be91d70e359"
+# suite sizes and tolerances moved from parameters into the suite bodies, and
+# again when line integrals moved to the forward-mode kernel, which moved the
+# two integral worsts of thm17-antiderive-roundtrip and no other report
+SUITES_PIN_SHA256 = "f7ace18e0210f22ed57bbde7e8ec02ec8b4f797f4064b362b6d765dd108a7688"
 
 
 def test_suite_reports_keep_their_bytes():

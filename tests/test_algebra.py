@@ -31,7 +31,8 @@ from cdconf.algebra import (
     row_dots,
     row_norms,
 )
-from cdconf.errors import DimensionError, DivisionByZeroError, DomainError, IndexRangeError
+from cdconf.errors import (DimensionError, DivisionByZeroError, DomainError, EvaluationError,
+                           IndexRangeError)
 from cdconf.moebius import Hypersphere
 from cdconf.phrase import eval_phrase, parse
 
@@ -470,6 +471,21 @@ def test_exp_addition_commuting_directions(rng):
         lhs = mul(exp(xi), exp(eta))
         rhs = exp(xi + eta)
         assert (lhs - rhs).norm() <= 1e-10 * math.exp(xi.norm() + eta.norm())
+
+
+@pytest.mark.parametrize("op", [
+    lambda: exp(cd([800.0, 0.0, 0.0, 0.0])),  # e^800 overflows
+    lambda: exp(cd([-1e308, 1e200, 0.0, -1.0])),  # |Im x| overflows
+    lambda: pow_real(cd([1e-200, 1.0, 0.0, 0.0]), 1e308),  # |alpha Arg x| overflows
+], ids=["exp-800", "exp-imaginary-1e200", "pow-alpha-1e308"])
+def test_an_overflowing_exp_is_an_evaluation_error(op):
+    with pytest.raises(EvaluationError, match="exp overflows"):
+        op()
+
+
+def test_exp_at_the_edge_of_overflow_is_finite():
+    top = math.log(np.finfo(float).max)
+    assert exp(cd([top, 0.0, 0.0, 0.0])).coeffs[0] == math.exp(top)
 
 
 def test_ln_principal_negative_real():

@@ -107,7 +107,7 @@ TABLE = [
     ("roto-float-planes", ["moebius"],
      {"op": "apply", "word": [{"op": "roto", "angles": [[2.9, 5.2, 0.7]]}], "z": POINT8}, 2),
     ("integral-refine-0", ["contour"],
-     {"op": "integral", "phrase": "z^2", "path": SEGMENT16, "refine": 0}, 1),
+     {"op": "integral", "phrase": "z^16", "path": SEGMENT16, "refine": 0}, 1),
     ("rouche-pole-on-loop", ["contour"],
      {"op": "rouche", "f": {"kind": "moebius", "word": [{"op": "shift", "c": [-1, 0, 0, 0]},
                                                         {"op": "inv"}]},
@@ -235,6 +235,18 @@ def test_a_sphere_whose_e_squared_underflows_is_an_evaluation_error(payload):
     code, doc, _ = invoke(["moebius"], json.dumps(payload))
     assert (code, doc) == (1, {"error": {
         "message": "E*E underflows to 0: the hypersphere radius is not computable",
+        "type": "EvaluationError"}})
+
+
+@pytest.mark.parametrize("payload", [
+    {"op": "exp", "x": [-1e308, 1e200, 0, -1]},
+    {"op": "pow", "x": [1e-200, 1, 0, 0], "alpha": 1e308},
+    {"op": "exp", "x": [800, 0, 0, 0]},
+], ids=["exp-imaginary-1e200", "pow-alpha-1e308", "exp-800"])
+def test_an_overflowing_exp_is_an_evaluation_error(payload):
+    code, doc, _ = invoke(["eval"], json.dumps(payload))
+    assert (code, doc) == (1, {"error": {
+        "message": "exp overflows: |Im x| or e^(Re x) is not finite",
         "type": "EvaluationError"}})
 
 

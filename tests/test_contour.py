@@ -142,20 +142,21 @@ def test_nonconvergence_reports_the_last_two_estimates():
     nu = ph.parse("z^17")
     with pytest.raises(QuadratureError) as err:
         line_integral(nu, seg, refine=0.0, max_levels=2)
-    sums = contour._partition_sums(ph.hat_operator(nu), [seg.refined(), seg.refined().refined()],
-                                   contour._GAUSS_RULES[7])
-    assert [e.coeffs.tobytes() for e in err.value.estimates] == [s.tobytes() for s in sums]
+    sums = contour._partition_sums(nu.antiderive(), [seg.refined(), seg.refined().refined()],
+                                   [contour._GAUSS_RULES[7]])
+    assert [e.coeffs.tobytes() for e in err.value.estimates] == [s.tobytes() for s, in sums]
     assert err.value.estimates[0] != err.value.estimates[1]
 
 
 def test_integral_partition_stays_bounded():
-    # refine 0 never converges: on this off-axis segment successive estimates
-    # differ by rounding, so the partition stops at MAX_PARTITION_SEGMENTS
+    # refine 0 never converges past degree 15: on this off-axis segment the
+    # 8-node rule is not exact, and then successive estimates differ by
+    # rounding, so the partition stops at MAX_PARTITION_SEGMENTS
     seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.6, 0.8), n=16)
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError) as err:
-            line_integral(ph.parse("z^2"), seg, refine=0.0)
+            line_integral(ph.parse("z^16"), seg, refine=0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,7 +167,7 @@ def test_integral_partition_stays_bounded():
 def test_integral_refuses_to_refine_past_the_segment_bound():
     seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.0, 0.0), n=MAX_PARTITION_SEGMENTS)
     with pytest.raises(QuadratureError) as err:
-        line_integral(ph.parse("z"), seg, refine=0.0)
+        line_integral(ph.parse("z^16"), seg, refine=0.0)
     first, last = err.value.estimates
     assert first == last  # the one partition built, nothing finer
 
@@ -175,11 +176,11 @@ def _kernel_calls(monkeypatch):
     """Shapes of the points of every phrase evaluation from now on."""
     shapes, evaluate = [], ph.eval_phrase
 
-    def spy(phrase, z, h=None):
+    def spy(phrase, z, h=None, tangent=None):
         shapes.append(np.shape(z))
-        return evaluate(phrase, z, h)
+        return evaluate(phrase, z, h, tangent)
 
-    monkeypatch.setattr(ph, "eval_phrase", spy)
+    monkeypatch.setattr(contour, "eval_phrase", spy)
     return shapes
 
 
@@ -192,13 +193,14 @@ def test_n_gauss_nodes_integrate_degree_2n_minus_1_exactly(n, monkeypatch):
     seg = PlanarPath.segment(ZERO, I2, (-0.6, 0.3), (0.5, -0.4), n=1)
     mu = nu.antiderive()
     want = (ph.eval_phrase(mu, seg.point(1)) - ph.eval_phrase(mu, seg.point(0))).coeffs
-    one, = contour._partition_sums(ph.hat_operator(nu), [seg], contour._GAUSS_RULES[n - 1])
+    (one, more), = contour._partition_sums(mu, [seg], contour._GAUSS_RULES[n - 1:n + 1])
     assert len(contour._GAUSS_RULES[n - 1][0]) == n
     assert np.linalg.norm(one - want) <= 1e-13
+    assert np.linalg.norm(more - want) <= 1e-13
     shapes = _kernel_calls(monkeypatch)
     val = line_integral(nu, seg, refine=1.0)
-    assert shapes == [(3, n, 4)]  # the segment and its two halves, n nodes each
-    assert np.linalg.norm(val.coeffs - want) <= 1e-13
+    assert shapes == [(1, 2 * n + 1, 4)]  # the segment, by the n- and (n+1)-node rules
+    assert val.coeffs.tobytes() == more.tobytes()
 
 
 def test_a_degree_past_the_8_node_rule_still_refines(monkeypatch):
@@ -218,13 +220,57 @@ def test_a_degree_past_the_8_node_rule_still_refines(monkeypatch):
        degree=st.integers(1, 17), nseg=st.integers(1, 40))
 def test_batched_levels_equal_the_per_level_sums(seed, level, degree, nseg):
     rng = np.random.default_rng(seed)
-    kernel = ph.hat_operator(random_phrase(rng, level=level, max_words=2, max_degree=degree))
-    rule = contour._GAUSS_RULES[min(kernel.max_degree() // 2, 7)]
+    nu = random_phrase(rng, level=level, max_words=2, max_degree=degree)
+    mu, rule = nu.antiderive(), contour._GAUSS_RULES[min(nu.max_degree() // 2, 7)]
     pts = rng.uniform(-1.0, 1.0, size=(nseg + 1, 2))
     path = PlanarPath(CdNumber.zero(level), rand_imag_unit(rng, level), pts)
-    batched = contour._partition_sums(kernel, [path, path.refined()], rule)
-    apart = [contour._partition_sums(kernel, [p], rule)[0] for p in (path, path.refined())]
-    assert [s.tobytes() for s in batched] == [s.tobytes() for s in apart]
+    batched = contour._partition_sums(mu, [path, path.refined()], [rule])
+    apart = [contour._partition_sums(mu, [p], [rule])[0] for p in (path, path.refined())]
+    assert [s.tobytes() for s, in batched] == [s.tobytes() for s, in apart]
+
+
+def test_rules_that_disagree_fall_back_to_the_ladder(monkeypatch):
+    # degree 15 on this off-axis segment: the 8- and 9-node sums differ by
+    # rounding, so refine 0 climbs the ladder from the 8-node sum on gamma
+    nu = ph.parse("z^15")
+    seg = PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.6, 0.8), n=4)
+    shapes = _kernel_calls(monkeypatch)
+    with pytest.raises(QuadratureError) as err:
+        line_integral(nu, seg, refine=0.0, max_levels=2)
+    assert shapes == [(4, 17, 4), (8, 8, 4), (16, 8, 4)]
+    rule = contour._GAUSS_RULES[7]
+    (first,), (last,) = (contour._partition_sums(nu.antiderive(), [p], [rule])[0]
+                         for p in (seg.refined(), seg.refined().refined()))
+    assert [e.coeffs.tobytes() for e in err.value.estimates] == [first.tobytes(), last.tobytes()]
+
+
+def test_the_integral_never_builds_the_hat_operator(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hat_operator called")
+
+    monkeypatch.setattr(ph, "hat_operator", refuse)
+    monkeypatch.setattr(ph.Phrase, "hat", refuse)
+    a, b = cd(rng.normal(size=4)), cd(rng.normal(size=4))
+    nu = ph.const(a) * ph.z(2) * ph.const(b) * ph.z(3)
+    loop = PlanarLoop.circle(ZERO, I1, center=(0.2, -0.1), radius=0.8, n=32)
+    assert line_integral(nu, loop).norm() <= 1e-8
+    line_integral(ph.parse("z^20"), PlanarPath.segment(ZERO, I1, (0.0, 0.0), (1.0, 0.5)))
+
+
+def test_level_4_integrals_follow_the_full_derivative():
+    # the sedenions are not alternative: the hat expansion
+    # z^p -> sum_i (z^i h) z^(p-1-i) is not the derivative of z^p there, and
+    # its partition sums left this loop at 5.19 and this path 11.4 off
+    rng = np.random.default_rng(3)
+    c = ph.const(CdNumber(rng.normal(size=16)))
+    nu = c * ph.z(2) * c + ph.z(3)
+    a0 = CdNumber(rng.normal(size=16) * 0.5)  # off the real axis
+    m = rand_imag_unit(rng, 4)
+    assert line_integral(nu, PlanarLoop.circle(a0, m, n=16)).norm() <= 1e-12
+    seg = PlanarPath.segment(a0, m, (-0.5, 0.2), (0.7, 0.9), n=16)
+    mu = nu.antiderive()
+    want = ph.eval_phrase(mu, seg.point(16)) - ph.eval_phrase(mu, seg.point(0))
+    assert (line_integral(nu, seg) - want).norm() <= 1e-12
 
 
 def test_two_exact_estimates_of_z3_agree_bit_for_bit():

@@ -666,6 +666,61 @@ def test_a_product_value_is_released_after_its_last_read(monkeypatch, seed):
 
 
 # ---------------------------------------------------------------------------
+# forward-mode tangents
+# ---------------------------------------------------------------------------
+
+def _rel_err(got, want):
+    got, want = np.asarray(getattr(got, "coeffs", got)), np.asarray(getattr(want, "coeffs", want))
+    return np.max(np.linalg.norm(got - want, axis=-1) / (1.0 + np.linalg.norm(want, axis=-1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.sampled_from([2, 3]),
+       shape=st.sampled_from([None, (5,), (2, 3)]))
+def test_the_tangent_equals_the_hat_kernel_in_alternative_algebras(seed, level, shape):
+    rng = np.random.default_rng(seed)
+    dim = 1 << level
+    nu = random_phrase(rng, level)
+    for side in ("left", "right"):
+        zval, h = _value(rng, shape, dim), _value(rng, shape, dim)
+        got = ph.eval_phrase(ph.antiderive(nu, side), zval, tangent=h)
+        want = ph.eval_phrase(ph.hat_operator(nu, side=side), zval, h=h)
+        assert type(got) is type(want)
+        assert _rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [4, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_tangent_is_the_derivative_where_the_algebra_is_not_alternative(level, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << level
+    mu = ph.antiderive(random_phrase(rng, level), "left" if seed % 2 else "right")
+    zval, h = rng.normal(size=(4, dim)) * 0.5, rng.normal(size=(4, dim))
+    step = 1e-5
+    central = (mu(zval + step * h) - mu(zval - step * h)) / (2 * step)
+    assert _rel_err(ph.eval_phrase(mu, zval, tangent=h), central) <= 1e-7
+
+
+def test_a_leaf_of_another_variable_carries_no_tangent(rng):
+    z1, z2, h = rand_cd(rng), rand_cd(rng), rand_cd(rng)
+    got = ph.eval_phrase(ph.parse("z_2 z + zc_2 e"), {1: z1, 2: z2}, tangent=h)
+    assert got.coeffs.tobytes() == mul_coeffs(z2.coeffs, h.coeffs).tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("zc z", "requires a z-only phrase in variable 1; found conjugate symbol"),
+    ("ec z", "requires a z-only phrase in variable 1; found conjugate symbol"),
+    ("z I", "does not accept operator-valued phrases"),
+])
+def test_the_tangent_refuses_conjugates_and_operators_of_variable_1(text, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phrase = ph.parse(text)
+    with pytest.raises(UnsupportedPhraseError, match=message):
+        ph.eval_phrase(phrase, CdNumber.one(2), h=CdNumber.one(2), tangent=CdNumber.one(2))
+
+
+# ---------------------------------------------------------------------------
 # cached hashes and derived phrases
 # ---------------------------------------------------------------------------
 
@@ -819,14 +874,15 @@ def test_degrees_on_hat_kernels_match_a_tree_walk(rng):
 
 
 # ---------------------------------------------------------------------------
-# the byte gate: digests of render, parse, antiderive, hat_operator,
-# eval_phrase and line_integral outputs, computed before phrase nodes were
-# interned and evaluation compiled
+# the byte gate: digests of render, parse, antiderive, hat_operator and
+# eval_phrase outputs, computed before phrase nodes were interned and
+# evaluation compiled, and of line_integral outputs, computed when the
+# integral moved to the forward-mode kernel
 # ---------------------------------------------------------------------------
 
 def _gate_digests():
     rng = np.random.default_rng(20261019)
-    text, numbers = hashlib.sha256(), hashlib.sha256()
+    text, numbers, integrals = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for k in range(40):
         level = 2 + k % 2
         dim = 1 << level
@@ -851,14 +907,15 @@ def _gate_digests():
         seg = PlanarPath.segment(a0, m, tuple(rng.uniform(-1, 0, 2)),
                                  tuple(rng.uniform(0, 1, 2)), n=8)
         for path in (loop, seg):
-            numbers.update(line_integral(nu, path, refine=1e-11, side=side).coeffs.tobytes())
-    return text.hexdigest(), numbers.hexdigest()
+            integrals.update(line_integral(nu, path, refine=1e-11, side=side).coeffs.tobytes())
+    return text.hexdigest(), numbers.hexdigest(), integrals.hexdigest()
 
 
 def test_phrase_outputs_keep_their_bytes():
-    # the numbers digest holds the bits of the two-operand einsum kernel, as
+    # the numbers digests hold the bits of the two-operand einsum kernel, as
     # computed with numpy 2.4 on x86-64; a numpy whose SIMD baseline fuses
     # multiply-add (numpy.show_runtime() names it) may round differently
-    text, numbers = _gate_digests()
+    text, numbers, integrals = _gate_digests()
     assert text == "7d49f1f8ce579084af06b75b86926904f57e74bb9bed49a37a8c3b868f7c7ec5"
-    assert numbers == "477e3d27cdb456be3d62b450485afdf5c2bdb30066a25f5e2df291bbfa5f21f9"
+    assert numbers == "2da9f2eab82e3968e34a548f70e83c56579884884a25b5ed99372a29ddbea052"
+    assert integrals == "57668a745d1c54e2b9aabf4732d391b294e38086065f9259e81481b121d9dec4"

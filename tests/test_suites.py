@@ -1,5 +1,7 @@
-"""The capped rejection sampler behind the suites and the CLI's ball samples."""
+"""The capped rejection sampler behind the suites and the CLI's ball samples,
+and the report of a suite whose check fails."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdconf import cli, suites
+from cdconf.domains import CartanResult, SchwarzResult
 from cdconf.errors import CdconfError
 from cdconf.suites import ATTEMPTS_PER_SAMPLE, ball_points, rand_cd, sample
 
@@ -81,3 +85,23 @@ def test_a_suite_that_accepts_nothing_ends_with_an_error():
                           text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"accepted 0 of 50 samples in {50 * ATTEMPTS_PER_SAMPLE} attempts"
+
+
+@pytest.mark.parametrize("name, check, result, case, tol", [
+    ("thm30-cartan", "cartan_check", CartanResult(False, 0.5), "thm30-identity-certified", 1e-8),
+    ("thm36-schwarz", "schwarz_check", SchwarzResult(False, 2.0, None), "thm36-norm-shrinking",
+     1e-9),
+])
+def test_a_failing_check_prints_its_fail_report(tmp_path, capsys, monkeypatch,
+                                                name, check, result, case, tol):
+    # a failed check records a finite worst, so the report can be printed
+    monkeypatch.setattr(suites, check, lambda *args, **kwargs: result)
+    path = tmp_path / "request.json"
+    path.write_text(f'{{"name": "{name}"}}')
+    code = cli.main(["suite", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert json.loads(captured.out) == {
+        "suite": name, "seed": 0, "passed": False,
+        "cases": [{"case": case, "passed": False, "worst": 1.0, "tolerance": tol}]}
+    assert f"FAIL  {case}: worst 1.000e+00" in captured.err
